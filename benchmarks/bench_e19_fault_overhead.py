@@ -10,9 +10,8 @@ supervisor wraps every phase execute in a replay loop; both are designed
 to cost one comparison when nothing fails, and this benchmark holds them
 to that design.
 
-The comparison is the E16 workload end to end (full
-``DistNearCliqueRunner``, persistent process session, forced sample) in
-two arms:
+The comparison is the E20 workload end to end (full
+``DistNearCliqueRunner``, process session, forced sample) in two arms:
 
 * **baseline** — PR 8 semantics: no ``round_timeout``, no
   ``retry_policy``; barriers are plain blocking ``recv``.
@@ -25,9 +24,9 @@ Bit-identity of both arms against the batched oracle is asserted before
 any timing is reported, then an interleaved best-of-N gates the
 supervised/baseline wall-clock ratio at ``OVERHEAD_CEILING`` (full) /
 ``QUICK_OVERHEAD_CEILING`` (quick CI mode; shared runners are noisy).
-Unlike E16's speedup gate this one needs no CPU-count escape hatch: both
-arms run the same backend on the same host, so the ratio is meaningful
-anywhere.
+Unlike a cross-backend speedup gate this one needs no CPU-count escape
+hatch: both arms run the same backend on the same host, so the ratio is
+meaningful anywhere.
 
 Run directly (``python benchmarks/bench_e19_fault_overhead.py``) or via
 the pytest-benchmark harness; quick mode (``REPRO_BENCH_QUICK=1`` or
@@ -45,7 +44,7 @@ from repro.analysis import tables
 from repro.congest.config import CongestConfig, RetryPolicy
 from repro.core.dist_near_clique import DistNearCliqueRunner
 
-from bench_e16_session_amortization import (
+from bench_e20_pipeline_fusion import (
     FORCED_SAMPLE,
     SHARDS,
     _community_graph,

@@ -1,48 +1,39 @@
 """E20 — pipeline compiler: fused phase groups on the process backend.
 
-PR 6's persistent sessions (E16) amortise pool *spawn* across the ~14
-phases of the composite ``DistNearCliqueRunner``, but still pay a full
-coordination round-trip per phase: ship a re-arm over every worker pipe,
-run the phase, pack and fold the complete per-node context state back into
-the parent, repeat.  The pipeline compiler
-(:mod:`repro.congest.pipeline`, ``CongestConfig.pipeline_mode="fuse"``)
-compiles the declared phase graph into maximal fused groups: one
-``arm-seq`` ships the whole group, workers self-arm the next phase on
-phase completion (a ``finish-light`` that skips state packing entirely),
-and the context fold-back happens once per *group* instead of once per
-phase.  On the composite run the full 13-phase exploration+decision
-suffix fuses into a single group — 2 pool re-arms instead of 14.
+The composite ``DistNearCliqueRunner`` runs ~14 phases.  A process session
+keeps one worker pool across them, and the pipeline compiler
+(:mod:`repro.congest.pipeline`) compiles the declared phase graph into
+maximal fused groups: one ``arm`` ships the whole group, workers self-arm
+the next phase on phase completion (a harvest that skips state packing
+entirely), and the context fold-back happens once per *group* instead of
+once per phase.  On the composite run the full 13-phase
+exploration+decision suffix fuses into a single group — 2 pool re-arms for
+14 phases.  Fusion is the only execution path, so there is no unfused arm
+to race; this benchmark holds the compiler to the contract and reports
+where the process session stands against the default engine:
 
-This benchmark holds the compiler to the contract and the claim:
-
-* **Bit-identity before any timing** — ``pipeline_mode="fuse"`` versus
-  ``"off"`` on *every* backend (reference, batched, vectorized, async,
-  sharded serial / thread / process-persistent) on a differential-scale
-  workload, every fingerprint (labels, sample, rounds, message/bit
-  totals, the full per-round trace) equal to the reference engine's;
-  then, at the gate scale, both timed process arms against the batched
-  oracle.  Fusion that changes one bit fails here, not in the timing
-  table.
-
-* **Wall-clock speedup** — the full ``DistNearCliqueRunner`` at n >= 4000
-  on the E15/E16 community workload, process backend, one persistent
-  session in both arms: ``pipeline_mode="off"`` (per-phase re-arm + fold,
-  the E16 configuration) versus ``"fuse"``.  Interleaved best-of-N; the
-  gate on a host with >= 2 CPUs is ``FUSION_SPEEDUP_FLOOR`` (full) /
-  ``QUICK_SPEEDUP_FLOOR`` (quick CI mode).  Single-CPU hosts skip the
-  ratio gate, as in E14–E16.
+* **Bit-identity before any timing** — every backend (reference, batched,
+  vectorized, async, sharded serial / thread / process) on a
+  differential-scale workload, every fingerprint (labels, sample, rounds,
+  message/bit totals, the full per-round trace) equal to the reference
+  engine's; then, at the report scale, the process session against the
+  batched engine.  Fusion that changes one bit fails here.
 
 * **Re-arm elision** — from :class:`~repro.congest.sharding.ShardingStats`:
-  the fused run's ``rearms`` must stay strictly below the phase count
-  executed, with ``fused_phases`` accounting for the difference.
+  the run's ``rearms`` must stay strictly below the phase count executed,
+  with ``fused_phases`` accounting for the difference.
+
+* **Wall clock, reported, not gated** — the full ``DistNearCliqueRunner``
+  at n >= 4000 on the community workload: the process session next to the
+  ``batched`` default engine, interleaved best-of-N.
 
 Results are emitted through the shared ``--json`` machinery in
 ``benchmarks/conftest.py`` (one ``{bench, config, measured, gate,
-passed}`` record per gate), both under pytest and from ``main()``.
+passed}`` record per check), both under pytest and from ``main()``.
 
 Run directly (``python benchmarks/bench_e20_pipeline_fusion.py``) or via
 the pytest-benchmark harness; quick mode (``REPRO_BENCH_QUICK=1`` or
-``--quick``) keeps n at the gate scale but trims repetitions.
+``--quick``) keeps n at the report scale but trims repetitions.
 """
 
 from __future__ import annotations
@@ -67,43 +58,25 @@ QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0") or "0"))
 #: Shard count (== worker processes) of the timed comparison.
 SHARDS = 4
 
-#: Minimum acceptable fuse-over-off speedup when >= 2 CPUs exist.  Full
-#: scale is the acceptance gate; quick scale is a lenient CI tripwire.
-FUSION_SPEEDUP_FLOOR = 1.3
-QUICK_SPEEDUP_FLOOR = 1.1
-
 #: Forced sample (block-0 node ids of the community workload): keeps the
 #: sampling stage deterministic and the exploration stage bounded, so the
-#: two timed modes do byte-identical protocol work.
+#: timed arms do byte-identical protocol work.
 FORCED_SAMPLE = (2, 7, 19, 41, 83)
 
-#: Every backend held to off/fuse bit-identity before timing.  Label ->
-#: CongestConfig kwargs (``pipeline_mode`` is filled in per arm).
+#: Every backend held to bit-identity before timing.  Label ->
+#: CongestConfig kwargs.
 BACKENDS = (
     ("reference", dict(engine="reference")),
     ("batched", dict(engine="batched")),
     ("vectorized", dict(engine="vectorized")),
     ("async", dict(engine="async")),
     ("sharded-serial", dict(engine="sharded", shards=SHARDS, shard_backend="serial")),
-    (
-        "sharded-thread",
-        dict(
-            engine="sharded",
-            shards=SHARDS,
-            shard_backend="thread",
-            session_mode="persistent",
-        ),
-    ),
-    (
-        "sharded-process",
-        dict(
-            engine="sharded",
-            shards=SHARDS,
-            shard_backend="process",
-            session_mode="persistent",
-        ),
-    ),
+    ("sharded-thread", dict(engine="sharded", shards=SHARDS, shard_backend="thread")),
+    ("sharded-process", dict(engine="sharded", shards=SHARDS, shard_backend="process")),
 )
+
+#: The timed arms: the default engine and the process session.
+TIMED = ("batched", "sharded-process")
 
 
 def _community_graph(n: int, blocks: int, p_in: float, p_out: float, seed: int):
@@ -124,8 +97,9 @@ def _community_graph(n: int, blocks: int, p_in: float, p_out: float, seed: int):
 
 
 def _workload(quick: bool):
-    # The gate scale stays at n >= 4000 even in quick mode — the ISSUE's
-    # acceptance bar; quick mode trims repetitions instead.
+    # The report scale stays at n >= 4000 even in quick mode, where the
+    # process backend has real work per worker; quick mode trims
+    # repetitions instead.
     n = 4000 if quick else 6000
     graph = _community_graph(n, SHARDS, 0.04, 2.0 / n, seed=7)
     return "web-communities (n=%d, %d blocks)" % (n, SHARDS), graph
@@ -156,12 +130,10 @@ def _result_fingerprint(result):
     )
 
 
-def _run_once(graph, backend_kwargs, pipeline_mode, seed=11):
+def _run_once(graph, backend_kwargs, seed=11):
     """One full DistNearClique run; returns (seconds, fingerprint, runner)."""
     n = graph.number_of_nodes()
-    config = CongestConfig(
-        pipeline_mode=pipeline_mode, **backend_kwargs
-    ).with_log_budget(n)
+    config = CongestConfig(**backend_kwargs).with_log_budget(n)
     runner = DistNearCliqueRunner(
         epsilon=0.25,
         sample_probability=0.001,
@@ -176,90 +148,79 @@ def _run_once(graph, backend_kwargs, pipeline_mode, seed=11):
     return elapsed, _result_fingerprint(result), runner
 
 
+def _run_batched_oracle(graph, seed=11):
+    """Fingerprint of the default engine's run (the timed arms' oracle)."""
+    return _run_once(graph, dict(BACKENDS)["batched"], seed=seed)[1]
+
+
 def _identity_sweep():
-    """off/fuse bit-identity on every backend, pinned to the reference."""
+    """Bit-identity of every backend, pinned to the reference engine."""
     name, graph = _differential_workload()
     oracle = None
     for label, backend_kwargs in BACKENDS:
-        for mode in ("off", "fuse"):
-            _, fingerprint, _ = _run_once(graph, backend_kwargs, mode)
-            if oracle is None:
-                oracle = fingerprint  # reference engine, pipeline off
-            assert fingerprint == oracle, (
-                "%s with pipeline_mode=%r diverged from the reference "
-                "engine on %s" % (label, mode, name)
-            )
+        _, fingerprint, _ = _run_once(graph, backend_kwargs)
+        if oracle is None:
+            oracle = fingerprint  # the reference engine
+        assert fingerprint == oracle, (
+            "%s diverged from the reference engine on %s" % (label, name)
+        )
     print(
-        "E20  bit-identity: %d backends x {off, fuse} identical to the "
-        "reference engine on %s" % (len(BACKENDS), name)
+        "E20  bit-identity: %d backends identical to the reference engine "
+        "on %s" % (len(BACKENDS), name)
     )
     record_result(
         "e20-pipeline-fusion",
         {"workload": name, "backends": [label for label, _ in BACKENDS]},
-        {"arms": len(BACKENDS) * 2},
-        {"criterion": "off/fuse fingerprints identical to reference"},
+        {"arms": len(BACKENDS)},
+        {"criterion": "fingerprints identical to reference"},
         True,
     )
 
 
 def _fusion_table(name, graph, quick):
-    process_kwargs = dict(BACKENDS)["sharded-process"]
-
-    # Gate-scale bit-identity for both timed arms before any timing claim:
-    # against the batched fast path (itself differentially pinned to the
-    # reference engine, and re-pinned across modes by _identity_sweep).
-    _, oracle, _ = _run_once(graph, dict(BACKENDS)["batched"], "off")
-
-    timings = {"off": float("inf"), "fuse": float("inf")}
-    fused_runner = None
+    backends = dict(BACKENDS)
+    timings = dict.fromkeys(TIMED, float("inf"))
+    oracle = None
+    process_runner = None
     repetitions = 2 if quick else 3
-    # Interleaved best-of-N: a ratio gate needs both sides sampled under
-    # comparable load.
+    # Interleaved best-of-N, every run's fingerprint pinned to the first
+    # batched run's before its time counts.
     for _ in range(repetitions):
-        for mode in ("off", "fuse"):
-            elapsed, fingerprint, runner = _run_once(graph, process_kwargs, mode)
+        for label in TIMED:
+            elapsed, fingerprint, runner = _run_once(graph, backends[label])
+            if oracle is None:
+                oracle = fingerprint
             assert fingerprint == oracle, (
-                "process backend with pipeline_mode=%r diverged from the "
-                "batched oracle" % mode
+                "%s diverged from the batched engine on %s" % (label, name)
             )
-            timings[mode] = min(timings[mode], elapsed)
-            if mode == "fuse":
-                fused_runner = runner
+            timings[label] = min(timings[label], elapsed)
+            if label == "sharded-process":
+                process_runner = runner
 
-    stats = fused_runner.last_session_stats
-    plan = fused_runner.last_pipeline_plan
+    stats = process_runner.last_session_stats
+    plan = process_runner.last_pipeline_plan
     phases_executed = stats.rearms + stats.fused_phases
     assert stats.rearms < phases_executed, (
         "fusion elided nothing: %d re-arms for %d phases"
         % (stats.rearms, phases_executed)
     )
 
-    speedup = timings["off"] / max(timings["fuse"], 1e-9)
-    rows = [
-        ["per-phase re-arm (off)", round(timings["off"], 3), 1.0],
-        [
-            "fused groups (fuse)",
-            round(timings["fuse"], 3),
-            round(timings["fuse"] / timings["off"], 2),
-        ],
-    ]
+    baseline = timings["batched"]
     tables.print_table(
-        ["pipeline mode", "wall s", "vs off"],
-        rows,
-        title="E20  %s — DistNearCliqueRunner end to end (%d shards, "
-        "process backend, persistent session, bit-identical runs)"
-        % (name, SHARDS),
+        ["engine", "wall s", "vs batched"],
+        [
+            [label, round(timings[label], 3), round(timings[label] / baseline, 2)]
+            for label in TIMED
+        ],
+        title="E20  %s — DistNearCliqueRunner end to end (process session: "
+        "%d shards, fused groups; bit-identical runs)" % (name, SHARDS),
     )
     print(plan.describe())
     print(
-        "fuse-over-off speedup: %.2fx  |  pool re-arms: %d for %d phases "
-        "(%d elided by fusion)"
-        % (speedup, stats.rearms, phases_executed, stats.fused_phases)
+        "pool re-arms: %d for %d phases (%d elided by fusion)"
+        % (stats.rearms, phases_executed, stats.fused_phases)
     )
 
-    cpus = os.cpu_count() or 1
-    floor = QUICK_SPEEDUP_FLOOR if quick else FUSION_SPEEDUP_FLOOR
-    gated = cpus >= 2
     record_result(
         "e20-pipeline-fusion",
         {
@@ -267,29 +228,17 @@ def _fusion_table(name, graph, quick):
             "backend": "sharded-process",
             "shards": SHARDS,
             "quick": quick,
-            "cpus": cpus,
+            "cpus": os.cpu_count() or 1,
         },
         {
-            "wall_seconds_off": timings["off"],
-            "wall_seconds_fuse": timings["fuse"],
-            "speedup": speedup,
+            "wall_seconds_batched": timings["batched"],
+            "wall_seconds_process": timings["sharded-process"],
             "rearms": stats.rearms,
             "fused_phases": stats.fused_phases,
         },
-        {"criterion": "speedup >= floor", "floor": floor, "gated": gated},
-        (not gated) or speedup >= floor,
+        {"criterion": "rearms < phases executed"},
+        True,
     )
-    if gated:
-        assert speedup >= floor, (
-            "fused pipeline is only %.2fx the per-phase session on %s "
-            "(%d CPUs), below the %.2fx floor" % (speedup, name, cpus, floor)
-        )
-    else:
-        print(
-            "(fusion-speedup gate skipped: %d CPU(s) available; the "
-            "process backend needs >= 2 to be the configuration anyone "
-            "runs)" % cpus
-        )
     return timings
 
 
@@ -305,7 +254,7 @@ def bench_e20_pipeline_fusion(benchmark):
 
     _name, graph = _workload(quick=True)
     process_kwargs = dict(BACKENDS)["sharded-process"]
-    benchmark(lambda: _run_once(graph, process_kwargs, "fuse"))
+    benchmark(lambda: _run_once(graph, process_kwargs))
 
 
 def main(argv=None):

@@ -42,12 +42,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis import tables
-from repro.congest.config import (
-    PIPELINE_MODES,
-    SESSION_MODES,
-    CongestConfig,
-    RetryPolicy,
-)
+from repro.congest.config import CongestConfig, RetryPolicy
 from repro.congest.engine import available_engines
 from repro.congest.sharding import SHARD_BACKENDS
 from repro.core import near_clique
@@ -118,27 +113,6 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         "format)",
     )
     parser.add_argument(
-        "--session-mode",
-        choices=SESSION_MODES,
-        default=CongestConfig().session_mode,
-        help="execution-session lifetime across the CONGEST phases: "
-        "'per-call' (self-contained executes, the default) or "
-        "'persistent' (the sharded process backend keeps one worker pool "
-        "and one shared-memory CSR mapping alive across all phases, "
-        "re-armed between them; bit-identical results, amortised setup — "
-        "session totals are added to the run summary)",
-    )
-    parser.add_argument(
-        "--pipeline-mode",
-        choices=PIPELINE_MODES,
-        default=CongestConfig().pipeline_mode,
-        help="phase-graph pipeline compiler mode: 'off' (per-phase "
-        "execution, the default) or 'fuse' (adjacent declared phases run "
-        "as one fused group — one worker re-arm and one context fold-back "
-        "per group on the persistent process backend; bit-identical "
-        "outputs, rounds and per-phase metrics either way)",
-    )
-    parser.add_argument(
         "--round-timeout",
         type=_positive_float,
         default=None,
@@ -153,7 +127,7 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         type=_nonnegative_int,
         default=0,
         help="supervised-retry budget for shard-worker failures: replay "
-        "the failing phase on a fresh pool up to this many times, then "
+        "the failing phase group on a fresh pool up to this many times, then "
         "degrade to the serial sharded backend (bit-identical either "
         "way); 0 disables supervision and failures propagate (default)",
     )
@@ -288,8 +262,6 @@ def _cmd_find(args) -> int:
         shards=args.shards,
         shard_workers=args.shard_workers,
         shard_backend=args.shard_backend,
-        session_mode=args.session_mode,
-        pipeline_mode=args.pipeline_mode,
         round_timeout=args.round_timeout,
         retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))
@@ -355,7 +327,7 @@ def _cmd_find(args) -> int:
 
 
 def _print_session_report(session_stats) -> None:
-    """Session totals across the sessions a finder opened (persistent mode).
+    """Session totals across the process sessions a finder opened.
 
     One row set aggregated over all sessions (the boosted finder opens one
     per version): phases executed, per-phase setup seconds, packed boundary
@@ -381,8 +353,8 @@ def _print_session_report(session_stats) -> None:
         ["cross-shard msg fraction", round(cross / max(1, messages), 3)],
         ["shm bytes mapped", sum(stats.shm_bytes for stats in session_stats)],
     ]
-    rearms = sum(getattr(stats, "rearms", 0) for stats in session_stats)
-    fused = sum(getattr(stats, "fused_phases", 0) for stats in session_stats)
+    rearms = sum(stats.rearms for stats in session_stats)
+    fused = sum(stats.fused_phases for stats in session_stats)
     if rearms:
         rows.append(["pool re-arms", rearms])
     if fused:
@@ -421,8 +393,6 @@ def _cmd_serve(args) -> int:
         shards=args.shards,
         shard_workers=args.shard_workers,
         shard_backend=args.shard_backend,
-        session_mode=args.session_mode,
-        pipeline_mode=args.pipeline_mode,
         round_timeout=args.round_timeout,
         retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))

@@ -61,11 +61,10 @@ This package simulates that model in-process.  The pieces are:
 
 ``CongestSession`` / ``Engine.open_session``
     Engine state shared across the ``execute`` calls of a composite
-    pipeline.  The default session is a thin per-call wrapper; with
-    ``CongestConfig.session_mode == "persistent"`` the sharded engine's
+    pipeline.  The default session is a thin wrapper; the sharded engine's
     process backend keeps its worker pool and shared-memory CSR mapping
-    alive for the session, re-arming workers between phases.  Bit-identical
-    either way (the differential suite has a session arm).
+    alive for the session, re-arming workers between phase groups.
+    Bit-identical either way (the differential suite has a session arm).
 
 ``metrics``
     Round, message, and bit accounting used by the complexity experiments

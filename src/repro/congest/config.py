@@ -11,43 +11,26 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Tuple
 
-#: Session lifetimes accepted by ``CongestConfig.session_mode``.
-#:
-#: ``"per-call"`` (the default)
-#:     ``Engine.open_session`` returns a thin wrapper that delegates every
-#:     ``execute`` to the engine unchanged — exactly the per-``execute``
-#:     behaviour every engine has always had.
-#: ``"persistent"``
-#:     Engines with per-``execute`` setup worth amortising keep it alive for
-#:     the session's lifetime.  Today that is the sharded engine's
-#:     ``"process"`` backend: one worker pool plus one shared-memory CSR
-#:     mapping serve every ``execute`` of a composite pipeline, re-armed
-#:     between phases instead of respawned (see
-#:     :mod:`repro.congest.sharding.workers`).  Engines without such setup
-#:     treat ``"persistent"`` as ``"per-call"``.  Outputs and protocol
-#:     metrics are bit-identical in either mode, by the engine contract.
-SESSION_MODES: Tuple[str, ...] = ("per-call", "persistent")
+#: Session lifetimes accepted by ``CongestConfig.session_mode``.  Only
+#: ``"persistent"`` remains: a composite runner opens one session over all of
+#: its phases, and on the sharded engine's process backend that session keeps
+#: one worker pool plus one shared-memory CSR mapping alive across them (see
+#: :mod:`repro.congest.sharding.workers`).  Other engines have no setup to
+#: keep, so their session is a thin wrapper.
+SESSION_MODES: Tuple[str, ...] = ("persistent",)
 
-#: Pipeline planning modes accepted by ``CongestConfig.pipeline_mode``.
-#:
-#: ``"off"`` (the default)
-#:     Composite runners execute their phase sequence strictly one phase per
-#:     session ``execute``, exactly as before.
-#: ``"fuse"``
-#:     Composite runners compile the sequence with
-#:     :func:`repro.congest.pipeline.compile_pipeline` and execute fused
-#:     groups of adjacent effect-declared phases through
-#:     ``CongestSession.execute_fused`` — one arm, one context fold-back and
-#:     one barrier stream per group on backends that support it (the
-#:     persistent process session; every other session runs the group as a
-#:     sequential loop).  Outputs, round counts and per-phase-labeled
-#:     metrics are bit-identical in either mode, by the engine contract.
-PIPELINE_MODES: Tuple[str, ...] = ("off", "fuse")
+#: Pipeline planning modes accepted by ``CongestConfig.pipeline_mode``.  Only
+#: ``"fuse"`` remains: composite runners compile their phase sequence with
+#: :func:`repro.congest.pipeline.compile_pipeline` and execute each group of
+#: adjacent effect-declared phases through ``CongestSession.execute_fused`` —
+#: one arm, one context fold-back and one barrier stream per group on the
+#: process session, a sequential loop on every other session.
+PIPELINE_MODES: Tuple[str, ...] = ("fuse",)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Supervised-retry policy for persistent process sessions.
+    """Supervised-retry policy for process sessions.
 
     When an ``execute`` of a :class:`~repro.congest.sharding.workers.ProcessSession`
     dies with a :class:`~repro.congest.errors.ShardWorkerError` (a crashed,
@@ -182,24 +165,14 @@ class CongestConfig:
             metrics remain bit-identical by the engine contract.
     session_mode:
         Lifetime of the execution session a composite runner opens over its
-        phases — one of :data:`SESSION_MODES`.  ``"per-call"`` (the
-        default) keeps every ``execute`` self-contained; ``"persistent"``
-        lets the sharded engine's process backend keep its worker pool and
-        shared-memory CSR mapping alive across the phases of one
-        :class:`~repro.congest.engine.CongestSession`, re-arming workers
-        between executes instead of respawning them.  Bit-identical either
-        way; purely a setup-amortisation knob.
+        phases.  The only accepted value is ``"persistent"`` (see
+        :data:`SESSION_MODES`); the field remains so that configurations
+        naming it keep constructing.
     pipeline_mode:
         Planning mode of the phase-graph pipeline compiler for composite
-        runners — one of :data:`PIPELINE_MODES`.  ``"off"`` (the default)
-        runs the composite phase sequence one phase per ``execute``;
-        ``"fuse"`` compiles the sequence
-        (:func:`repro.congest.pipeline.compile_pipeline`) and executes
-        fused groups of adjacent effect-declared phases through one
-        ``execute_fused`` each — eliding the per-phase re-arm and context
-        fold-back on the persistent process backend.  Purely a
-        coordination-cost knob: outputs, round counts and per-phase metrics
-        traces are bit-identical in either mode.
+        runners.  The only accepted value is ``"fuse"`` (see
+        :data:`PIPELINE_MODES`); the field remains so that configurations
+        naming it keep constructing.
     round_timeout:
         Per-round barrier deadline in seconds for the sharded engine's
         ``"process"`` backend.  ``None`` (the default) keeps the original
@@ -223,7 +196,7 @@ class CongestConfig:
     retry_policy:
         Optional :class:`RetryPolicy` enabling supervised retry (and, by
         default, graceful degradation to the serial sharded backend) for
-        persistent process sessions.  ``None`` (the default) keeps the
+        process sessions.  ``None`` (the default) keeps the
         original fail-fast semantics: any worker failure aborts the
         ``execute``.
     fault_plan:
@@ -245,8 +218,8 @@ class CongestConfig:
     shard_workers: int = 0
     shard_strategy: str = "contiguous"
     shard_backend: str = "thread"
-    session_mode: str = "per-call"
-    pipeline_mode: str = "off"
+    session_mode: str = "persistent"
+    pipeline_mode: str = "fuse"
     round_timeout: Optional[float] = None
     worker_join_timeout: float = 5.0
     retry_policy: Optional[RetryPolicy] = None
@@ -255,11 +228,11 @@ class CongestConfig:
     def __post_init__(self) -> None:
         # ``engine`` / ``shard_backend`` / ``shard_strategy`` are validated
         # with their allowed values listed when they are resolved (the
-        # registry lookup, ``ShardedEngine.resolve_structure``); the session
-        # mode used to be checked only when a session was opened, which let
-        # a typo survive until deep inside a composite run.  Fail at
-        # construction instead — ``dataclasses.replace`` re-runs this, so
-        # every ``with_*`` derivation is covered too.
+        # registry lookup, ``ShardedEngine.resolve_structure``); the mode
+        # fields fail at construction instead, so a removed or misspelt
+        # mode never survives into a composite run —
+        # ``dataclasses.replace`` re-runs this, so every ``with_*``
+        # derivation is covered too.
         if self.session_mode not in SESSION_MODES:
             raise ValueError(
                 "unknown session mode %r; available modes: %s"
@@ -288,7 +261,7 @@ class CongestConfig:
                 % self.shard_workers
             )
         # The fault-tolerance knobs fail at construction for the same
-        # reason as the session mode above: all of them are consumed deep
+        # reason as the modes above: all of them are consumed deep
         # inside a phase execute, where a bad value would otherwise
         # surface mid-pipeline (or worse, silently disable the watchdog).
         if self.round_timeout is not None and not self.round_timeout > 0:
@@ -337,25 +310,6 @@ class CongestConfig:
     def with_engine(self, engine: str) -> "CongestConfig":
         """Return a copy that selects a different execution engine."""
         return replace(self, engine=engine)
-
-    def with_session_mode(self, session_mode: str) -> "CongestConfig":
-        """Return a copy that selects a different session lifetime.
-
-        ``session_mode`` must be one of :data:`SESSION_MODES`; anything else
-        raises ``ValueError`` here (via dataclass construction), listing the
-        allowed values, so typos fail fast instead of surfacing when a
-        session is eventually opened.
-        """
-        return replace(self, session_mode=session_mode)
-
-    def with_pipeline_mode(self, pipeline_mode: str) -> "CongestConfig":
-        """Return a copy that selects a different pipeline planning mode.
-
-        ``pipeline_mode`` must be one of :data:`PIPELINE_MODES`; anything
-        else raises ``ValueError`` here (via dataclass construction),
-        listing the allowed values.
-        """
-        return replace(self, pipeline_mode=pipeline_mode)
 
     def with_sharding(
         self,

@@ -94,11 +94,11 @@ round, exactly like the reference.
 ``DistNearClique`` runner) execute many protocols on one network;
 :meth:`Engine.open_session` returns a :class:`CongestSession` that owns
 whatever engine state is worth keeping alive across those ``execute``
-calls.  The default session is a thin per-call wrapper (bit-identical to
-calling the engine directly); with ``CongestConfig.session_mode ==
-"persistent"`` the sharded engine's process backend keeps its worker pool
-and shared-memory CSR mapping for the session's lifetime and re-arms the
-workers between phases (:mod:`repro.congest.sharding.workers`).
+calls.  The default session is a thin wrapper (bit-identical to calling
+the engine directly); the sharded engine's process backend keeps its
+worker pool and shared-memory CSR mapping for the session's lifetime and
+re-arms the workers between phase groups
+(:mod:`repro.congest.sharding.workers`).
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.congest.config import SESSION_MODES, CongestConfig
+from repro.congest.config import CongestConfig
 from repro.congest.errors import (
     CongestionViolation,
     MessageSizeViolation,
@@ -163,18 +163,17 @@ class CongestSession:
     (sessions are context managers) to release whatever the engine kept
     alive.
 
-    This base class is the **default session**: a thin per-call wrapper
-    that delegates straight to :meth:`Engine.execute`, so the semantics of
-    the ``reference`` / ``batched`` / ``async`` engines are untouched —
-    running a pipeline through a default session is byte-for-byte the
-    per-call behaviour.  Engines with setup worth amortising override
-    :meth:`Engine.open_session` to return a richer session (today:
-    :class:`repro.congest.sharding.workers.ProcessSession`, selected by
-    ``CongestConfig.session_mode == "persistent"`` with the process shard
-    backend).  The engine contract is unchanged in either case: outputs,
-    round counts and protocol metrics are bit-identical to
-    ``ReferenceEngine`` in session mode, enforced by the differential
-    suite's session arm.
+    This base class is the **default session**: a thin wrapper that
+    delegates straight to :meth:`Engine.execute`, so the semantics of the
+    ``reference`` / ``batched`` / ``async`` engines are untouched — running
+    a pipeline through a default session is byte-for-byte the same as
+    calling the engine per phase.  Engines with setup worth amortising
+    override :meth:`Engine.open_session` to return a richer session
+    (today: :class:`repro.congest.sharding.workers.ProcessSession`, opened
+    for the process shard backend).  The engine contract is unchanged in
+    either case: outputs, round counts and protocol metrics are
+    bit-identical to ``ReferenceEngine`` in a session, enforced by the
+    differential suite's session arm.
 
     Attributes
     ----------
@@ -213,8 +212,8 @@ class CongestSession:
         """Run one protocol within the session (same contract as the engine).
 
         ``config`` defaults to the configuration the session was opened
-        with; per-call overrides are honoured for the model-rule knobs, but
-        a persistent session's structural choices (shard plan, backend) are
+        with; execute-time overrides are honoured for the model-rule knobs, but
+        a process session's structural choices (shard plan, backend) are
         fixed at open time and a conflicting override raises.
         """
         if self.closed:
@@ -227,16 +226,6 @@ class CongestSession:
             per_node_inputs=per_node_inputs,
             reuse_contexts=reuse_contexts,
         )
-
-    #: Whether per-node context state is authoritative on the worker side
-    #: *between* the executes of a composite run.  ``False`` here (and for
-    #: every in-process engine): the parent's ``network.contexts`` hold the
-    #: truth after each ``execute``, so a composite runner may restore them
-    #: from a snapshot (the pipeline artifact cache) and keep executing.
-    #: The persistent process session overrides this with ``True`` — its
-    #: workers keep their own context copies armed across executes, so a
-    #: parent-side restore would silently desynchronise them.
-    worker_state_authoritative = False
 
     def execute_fused(
         self,
@@ -251,8 +240,8 @@ class CongestSession:
         *coordination* optimisation, never a semantic one — so this default
         implementation is simply an :meth:`execute` loop and is trivially
         bit-identical to unfused execution.  Sessions that pay per-phase
-        coordination costs (the persistent process session's re-arm and
-        context fold-back) override it to elide those costs within the
+        coordination costs (the process session's re-arm and context
+        fold-back) override it to elide those costs within the
         group; outputs, round counts and per-phase metrics must remain
         bit-identical, enforced by the differential suite.
 
@@ -316,19 +305,12 @@ class Engine:
     ) -> CongestSession:
         """Open an execution session on *network* under *config*.
 
-        The default implementation returns the thin per-call
-        :class:`CongestSession` regardless of ``config.session_mode`` —
-        engines without per-``execute`` setup have nothing to persist.
-        Engines that do (the sharded engine's process backend) override
-        this and honour ``session_mode == "persistent"``.
+        The default implementation returns the thin
+        :class:`CongestSession` — engines without per-``execute`` setup
+        have nothing to persist.  Engines that do (the sharded engine's
+        process backend) override this.
         """
-        config = config or CongestConfig()
-        if config.session_mode not in SESSION_MODES:
-            raise ValueError(
-                "unknown session mode %r; available modes: %s"
-                % (config.session_mode, ", ".join(SESSION_MODES))
-            )
-        return CongestSession(self, network, config)
+        return CongestSession(self, network, config or CongestConfig())
 
 
 class ReferenceEngine(Engine):

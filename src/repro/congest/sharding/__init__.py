@@ -29,9 +29,9 @@ boundary at the round barrier.  This package provides:
 
 :mod:`repro.congest.sharding.workers`
     The worker-process side of the ``"process"`` backend, its coordinator,
-    the re-armable worker pool and the persistent ``ProcessSession`` that
-    keeps pool plus shared-memory CSR mapping alive across the phases of a
-    composite pipeline (``CongestConfig.session_mode == "persistent"``).
+    the re-armable worker pool and the ``ProcessSession`` that keeps pool
+    plus shared-memory CSR mapping alive across the phase groups of a
+    composite pipeline (every session opened on the process backend).
 
 :mod:`repro.congest.sharding.shm`
     The shared-memory CSR segment (``SharedCSR``) a session's workers

@@ -65,9 +65,9 @@ Note that a *protocol* mutating shared instrumentation state in its
 callbacks (for example a test harness appending to one global log) will
 observe a nondeterministic interleaving under thread mode and fully
 isolated per-worker copies under process mode; per-node outputs and metrics
-remain bit-identical in every backend.  Pools of either kind are created
-per ``execute`` call and torn down before it returns — the registry's
-shared engine singleton never holds live workers.
+remain bit-identical in every backend.  Pools of either kind belong to one
+``execute`` call or to one session (:meth:`ShardedEngine.open_session`),
+never to the engine — the registry's shared singleton holds no workers.
 """
 
 from __future__ import annotations
@@ -260,11 +260,11 @@ class ShardingStats:
 
     Populated by :class:`ShardedEngine` when constructed with
     ``collect_stats=True`` (the registry instance does not collect, keeping
-    it stateless) and by persistent sessions, which expose an instance as
-    :attr:`repro.congest.engine.CongestSession.stats`; the E14/E15/E16
+    it stateless) and by process sessions, which expose an instance as
+    :attr:`repro.congest.engine.CongestSession.stats`; the E14/E15/E20
     benchmarks use this to report the cut-edge message fraction per
     partitioner strategy, the serialized boundary traffic of the process
-    backend, and the per-phase setup cost a session amortises.
+    backend, and the re-arms a session's phase fusion elides.
 
     Attributes
     ----------
@@ -274,25 +274,24 @@ class ShardingStats:
         boundary traffic, so both stay zero for the in-process backends.
     setup_seconds:
         Coordinator-side seconds spent on per-``execute`` setup (worker
-        spawn, arming) summed over the recorded runs — the figure the E16
-        benchmark divides by phases.
+        spawn, arming) summed over the recorded runs.
     shm_bytes:
         Bytes of CSR/owner tables held in the session's shared-memory
-        mapping (zero outside persistent process sessions).
+        mapping (zero outside process sessions).
     phases:
         Per-``execute`` partials (:class:`SessionPhaseStats`), appended by
         sessions in phase order; the counters above are the session totals.
     rearms / fused_phases:
-        Pool-wide protocol ships (one per ``arm``/``arm-seq`` that crossed
-        the pipes) and re-arms *elided* by the pipeline compiler's phase
+        Pool-wide protocol ships (one per phase group armed over the
+        pipes) and re-arms *elided* by the pipeline compiler's phase
         fusion (``len(group) - 1`` per fused group).  Under full fusion a
         composite's ``rearms`` stays strictly below its phase count — the
         invariant ``tests/test_sharding.py`` pins.
     worker_failures / timeouts / retries / degradations / recovery_events:
-        The fault-tolerance ledger, populated by supervised persistent
+        The fault-tolerance ledger, populated by supervised process
         sessions via :meth:`observe_recovery`: every observed worker
         failure (``worker_failures``), how many were barrier-watchdog
-        timeouts (``timeouts``), and how many led to a phase replay
+        timeouts (``timeouts``), and how many led to a group replay
         (``retries``) or to the session degrading to the serial backend
         (``degradations``).  ``recovery_events`` keeps the full
         per-failure :class:`RecoveryEvent` records in observation order —
@@ -928,7 +927,7 @@ class ShardedEngine(Engine):
 
         Instance constructor arguments override the configuration's
         fields.  This is the single resolution used by :meth:`execute`,
-        :meth:`open_session` and a persistent session's per-call config
+        :meth:`open_session` and a process session's execute-time config
         validation, so the three can never drift.
         """
         shards = self.shards if self.shards is not None else config.shards
@@ -1007,32 +1006,28 @@ class ShardedEngine(Engine):
     ) -> CongestSession:
         """Open an execution session on *network*.
 
-        With ``config.session_mode == "persistent"`` and the ``"process"``
-        backend this returns a
+        With the ``"process"`` backend this returns a
         :class:`repro.congest.sharding.workers.ProcessSession`: one worker
-        pool and one shared-memory CSR mapping serve every ``execute`` of
-        the session, re-armed between phases.  The in-process backends
+        pool and one shared-memory CSR mapping serve every phase group of
+        the session, re-armed between groups.  The in-process backends
         have no per-``execute`` setup worth keeping (the shard plan is
-        already memoised per network), so every other combination returns
-        the default per-call session.
+        already memoised per network), so they get the base session.
         """
         config = config or CongestConfig()
         shards, strategy, backend = self.resolve_structure(config)
-        if config.session_mode == "persistent" and backend == "process":
-            # Imported lazily: workers.py needs this module's stepper.
-            from repro.congest.sharding.workers import ProcessSession
+        if backend != "process":
+            return super().open_session(network, config)
+        # Imported lazily: workers.py needs this module's stepper.
+        from repro.congest.sharding.workers import ProcessSession
 
-            return ProcessSession(
-                engine=self,
-                network=network,
-                config=config,
-                shards=shards,
-                strategy=strategy,
-                partition_seed=self.partition_seed,
-            )
-        # Everything else — per-call mode, in-process backends, and any
-        # invalid session mode (validated there) — gets the base session.
-        return super().open_session(network, config)
+        return ProcessSession(
+            engine=self,
+            network=network,
+            config=config,
+            shards=shards,
+            strategy=strategy,
+            partition_seed=self.partition_seed,
+        )
 
 
 register_engine(ShardedEngine())

@@ -2,9 +2,9 @@
 
 The process backend's workers need the network's dense-index tables — the
 node-id column of the CSR, the adjacency arrays and the shard owner map —
-to route messages.  Per-``execute`` pools receive them as spawn arguments
-(free under fork, pickled under spawn, but paid again for every phase of a
-composite pipeline).  A persistent session instead packs them **once**
+to route messages.  The pool of a session-less ``execute`` receives them as
+spawn arguments (free under fork, pickled under spawn, but paid again for
+every phase of a composite pipeline).  A session instead packs them **once**
 into a single :mod:`multiprocessing.shared_memory` segment; every worker
 of every phase attaches to the same mapping, so a 14-phase pipeline ships
 the tables exactly once regardless of how often the pool is (re)spawned —
@@ -208,7 +208,7 @@ class SharedCSR:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of packed tables in the mapping (the E16 report figure)."""
+        """Bytes of packed tables in the mapping (the session report figure)."""
         return 8 * (2 + self.n + (self.n + 1) + self.m + self.n)
 
     def build_index_of(self) -> Dict[int, int]:

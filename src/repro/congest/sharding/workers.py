@@ -13,42 +13,43 @@ and the round cap are evaluated centrally on the aggregated view — so the
 process boundary is invisible to the engine contract (same outputs, same
 round counts, same metrics, same exception types).
 
-Protocol of one execution (all traffic over one duplex pipe per worker)::
+Protocol of one phase group (all traffic over one duplex pipe per worker)::
 
     coordinator                         worker
     -----------                         ------
     init payload  ────────────────────▶ build harness (contexts + tables)
-    ("arm", protocol, config, ...) ───▶ build stepper, reset shard state
+    ("arm", protocols, config, ...) ──▶ arm protocols[0], queue the rest
     ("start",)    ────────────────────▶ on_start + drain owned nodes
                   ◀──────────────────── ("ok", metrics, pending, open, batches)
     ("round", r, batches) ────────────▶ deliver + step + drain
                   ◀──────────────────── ("ok", metrics, pending, open, batches)
     ...                                 ...
-    ("finish", r) ────────────────────▶ collect outputs + context state
+    ("finish", r, fold) ──────────────▶ collect outputs (+ state if fold)
                   ◀──────────────────── ("done", outputs, states, traffic)
-    (worker stays; next "arm" starts the next execute, EOF exits)
+    (worker self-arms the next queued protocol and awaits its "start";
+     once the queue is empty the next "arm" starts the next group, EOF exits)
 
-Worker pools come in two lifetimes.  The default is **per-execute**: the
-pool is spawned and reaped inside one ``execute`` call, as PR 4 shipped it.
-A persistent :class:`ProcessSession` (``CongestConfig.session_mode ==
-"persistent"``) instead keeps one :class:`_WorkerPool` alive across the
-``execute`` calls of a composite pipeline and **re-arms** it between
-phases: the ``("arm", ...)`` command above carries the next protocol, the
-model-rule knobs and the context *deltas* (``_reset_for_new_protocol``
-plus any per-call inputs), so neither processes nor per-node state are
-re-shipped for ``reuse_contexts`` phases.  The session's routing tables
-live in one :mod:`multiprocessing.shared_memory` CSR mapping
+Worker pools come in two lifetimes.  Every session opened on the process
+backend is a :class:`ProcessSession`: it keeps one :class:`_WorkerPool`
+alive across the phase groups of a composite pipeline and **re-arms** it
+between groups — the ``("arm", ...)`` command above carries the group's
+protocols, the model-rule knobs and the context *deltas*
+(``_reset_for_new_protocol`` plus any execute inputs), so neither processes
+nor per-node state are re-shipped for ``reuse_contexts`` groups.  A
+one-phase ``execute`` is simply a group of one.  The session's routing
+tables live in one :mod:`multiprocessing.shared_memory` CSR mapping
 (:mod:`repro.congest.sharding.shm`) attached once per worker.  A fresh
 context build, or any ``build_contexts`` call outside the session
 (detected via :attr:`repro.congest.network.Network.context_epoch`), falls
 back to a pool respawn — under fork that re-ships the contexts by memory
-inheritance, which is exactly the per-execute cost, paid only when state
-actually diverged.  The epoch observes ``build_contexts`` calls, not
-writes: state fed to a session's phases must travel through
-``per_node_inputs`` / ``global_inputs`` or a ``build_contexts`` call (as
-every caller in this package does); poking a live context's ``state``
-dict directly between phases is invisible to any engine-side check and
-unsupported in persistent sessions.
+inheritance, paid only when state actually diverged.  The epoch observes
+``build_contexts`` calls, not writes: state fed to a session's phases must
+travel through ``per_node_inputs`` / ``global_inputs`` or a
+``build_contexts`` call (as every caller in this package does); poking a
+live context's ``state`` dict directly between phases is invisible to any
+engine-side check and unsupported in sessions.  A session-less
+``ShardedEngine.execute`` call instead spawns a pool for its one phase and
+reaps it before returning.
 
 A model-rule violation inside a worker (``CongestionViolation``,
 ``MessageSizeViolation``, ``ProtocolError``...) is pickled back and
@@ -70,26 +71,26 @@ daemonic and the pools context-managed: closing a pool closes the pipes
 to ``terminate`` only for processes that ignore the EOF within
 ``CongestConfig.worker_join_timeout`` seconds — except after a watchdog
 timeout, where still-alive workers are known-stuck and terminated
-straight away.  The teardown guarantee is *per lifetime*: an ``execute``
-call never leaks per-execute workers, and a session never leaks its pool
+straight away.  The teardown guarantee is *per lifetime*: a session-less
+``execute`` never leaks its workers, and a session never leaks its pool
 or its shared-memory segment past ``close`` — including violation and
 worker-crash paths, where the session tears the pool down immediately
 rather than waiting for the context exit.
 
 Supervised retry and degradation
 --------------------------------
-A persistent :class:`ProcessSession` given a
-``CongestConfig.retry_policy`` supervises its executes: a
+A :class:`ProcessSession` given a ``CongestConfig.retry_policy``
+supervises its phase groups: a
 :class:`~repro.congest.errors.ShardWorkerError` (timeouts included) no
-longer aborts the phase — the session tears the pool down, respawns it
-fresh and **replays the phase from the parent's contexts**, which are
-bit-identical to the phase's start because the harvest below folds
-worker state back only after *every* worker reported.  After exhausting
-``max_attempts`` the session (by default) *degrades*: the phase — and
-every later phase of the session — completes on the serial in-process
-sharded backend, bit-identical by the engine contract and immune to
-worker-process failures.  Every failure and the supervisor's decision is
-recorded as a
+longer aborts the group — the session tears the pool down, respawns it
+fresh and **replays the group from the parent's contexts**, which are
+bit-identical to the group's start because worker state is folded back
+only after the group-final phase, and only once *every* worker reported.
+After exhausting ``max_attempts`` the session (by default) *degrades*: the
+group — and every later one of the session — completes on the serial
+in-process sharded backend, bit-identical by the engine contract and
+immune to worker-process failures.  Every failure and the supervisor's
+decision is recorded as a
 :class:`~repro.congest.sharding.engine.RecoveryEvent` on the session's
 stats.  Deterministic fault injection for all of these paths lives in
 :mod:`repro.congest.sharding.faults` (``CongestConfig.fault_plan``).
@@ -104,8 +105,10 @@ coordinator folds it into the parent's context objects in place.  The cost
 of that round trip is one pickle per run, not per round; everything a
 protocol may put in per-node state must therefore be picklable (true for
 every protocol in this package).  Sessions rely on the fold-back too: it
-keeps the parent contexts authoritative between phases, which is what lets
-a light re-arm ship only deltas.
+keeps the parent contexts authoritative between groups, which is what lets
+a light re-arm ship only deltas.  Inside a group the phases before the last
+harvest with ``fold=False``: outputs and traffic travel, the state stays
+worker-side for the next queued phase.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ _JOIN_TIMEOUT = 5.0
 #: Parent-side pipe ends of every live worker of every pool in this
 #: process.  Fork-started children inherit every fd open at fork time —
 #: including the coordinator ends of *other* pools (a concurrent session,
-#: an overlapping per-execute run) — and any child holding such a write
+#: an overlapping session-less run) — and any child holding such a write
 #: end would defeat that pool's EOF-based teardown (its workers would sit
 #: out the join timeout and be terminated).  Each fork therefore snapshots
 #: this registry and the child closes the whole set first thing.  Entries
@@ -264,8 +267,8 @@ class _WorkerHarness:
 
     The harness is built once per worker lifetime from the static init
     payload (contexts, routing tables — either inline or attached from the
-    session's shared-memory CSR segment) and re-armed per ``execute`` with
-    the protocol and configuration; the inbox buffers and the per-channel
+    session's shared-memory CSR segment) and re-armed per phase group with
+    the protocols and configuration; the inbox buffers and the per-channel
     wire codecs survive re-arms, so a session phase allocates no per-node
     structures.
     """
@@ -295,7 +298,7 @@ class _WorkerHarness:
         # One wire channel per (this shard → destination) and per
         # (source → this shard); kind-interning tables stay synchronized
         # because batches travel and decode in round order — across every
-        # execute of a session, since encoder and decoder persist together.
+        # phase of a session, since encoder and decoder persist together.
         self.encoders: Dict[int, WireEncoder] = {}
         self.decoders: Dict[int, WireDecoder] = {}
         self.stepper: Optional[_ShardStepper] = None
@@ -304,32 +307,35 @@ class _WorkerHarness:
         #: rebuilt lazily at arm time; ``None`` whenever the armed config
         #: carries no plan — the universal production case.
         self.injector: Optional[FaultInjector] = None
-        #: Fused-group continuation: protocols still to run after the
-        #: currently armed one (``arm_sequence``), self-armed worker-side
-        #: right after each ``finish-light`` report so the next phase's
-        #: arm overlaps the coordinator's fold.
+        #: Protocols of the armed group still to run after the current
+        #: one, self-armed worker-side right after each ``finish`` report
+        #: so the next phase's arm overlaps the coordinator's fold.
         self._queue: List[Protocol] = []
-        self._queue_config: Optional[CongestConfig] = None
+        self._config: Optional[CongestConfig] = None
 
     # ------------------------------------------------------------------
     def arm(
         self,
-        protocol: Protocol,
+        protocols: Sequence[Protocol],
         config: CongestConfig,
         reset: bool,
         global_inputs: Optional[Dict[str, Any]],
         per_node_state: Optional[Dict[int, Dict[str, Any]]],
     ) -> None:
-        """Prepare one ``execute``: protocol, knobs, context deltas.
+        """Prepare one phase group: protocols, knobs, context deltas.
 
-        ``reset=False`` is the arm right after a (re)spawn, when the
-        inherited contexts are already current.  ``reset=True`` is a
-        session's light re-arm: replay exactly what the parent's
-        ``build_contexts(fresh=False)`` did — ``_reset_for_new_protocol``
-        plus the per-call inputs — on the worker-held contexts.
+        The first protocol is armed now; the rest are queued for
+        :meth:`arm_next_queued`.  ``reset=False`` is the arm right after a
+        (re)spawn, when the inherited contexts are already current.
+        ``reset=True`` is a session's light re-arm: replay exactly what
+        the parent's ``build_contexts(fresh=False)`` did —
+        ``_reset_for_new_protocol`` plus the execute inputs — on the
+        worker-held contexts.
         """
-        ctx_list = self.ctx_list
+        self._queue = list(protocols[1:])
+        self._config = config
         if reset:
+            ctx_list = self.ctx_list
             for i in self.owned:
                 ctx = ctx_list[i]
                 ctx._reset_for_new_protocol()
@@ -339,10 +345,28 @@ class _WorkerHarness:
                 index_of = self.index_of
                 for node_id, inputs in per_node_state.items():
                     ctx_list[index_of[node_id]].state.update(inputs)
+        self._arm_protocol(protocols[0])
+
+    def arm_next_queued(self) -> bool:
+        """Self-arm the next queued protocol of the group, if any.
+
+        Replays ``_reset_for_new_protocol`` on the worker-held contexts,
+        exactly what the parent's ``build_contexts(fresh=False)`` does
+        between phases — no input deltas exist mid-group.
+        """
+        if not self._queue:
+            return False
+        for i in self.owned:
+            self.ctx_list[i]._reset_for_new_protocol()
+        self._arm_protocol(self._queue.pop(0))
+        return True
+
+    def _arm_protocol(self, protocol: Protocol) -> None:
+        config = self._config
         self.stepper = _ShardStepper(
             protocol=protocol,
             config=config,
-            ctx_list=ctx_list,
+            ctx_list=self.ctx_list,
             index_of=self.index_of,
             owner=self.owner,
             ordered_delivery=self.ordered_delivery,
@@ -416,7 +440,13 @@ class _WorkerHarness:
             shard.remote_from[source] = decoder.decode(batch)
         return self._report(self.stepper.step_shard(shard, rounds))
 
-    def finish(self, rounds: int) -> Tuple:
+    def finish(self, rounds: int, fold: bool) -> Tuple:
+        """Harvest the armed phase: outputs, traffic and — if *fold* — state.
+
+        ``fold=False`` is the mid-group harvest: the per-node state stays
+        here for the next queued phase, and only the group-final harvest
+        ships it back for the parent to fold.
+        """
         stepper = self.stepper
         ctx_list = stepper.ctx_list
         protocol = stepper.protocol
@@ -426,70 +456,18 @@ class _WorkerHarness:
             ctx = ctx_list[i]
             ctx._round = rounds
             outputs[ctx.node_id] = protocol.collect_output(ctx)
-            states[ctx.node_id] = (
-                ctx.state,
-                ctx.output,
-                ctx._halted,
-                ctx.globals,
-                _pack_rng_state(ctx._rng.getstate())
-                if ctx._rng is not None
-                else None,
-            )
+            if fold:
+                states[ctx.node_id] = (
+                    ctx.state,
+                    ctx.output,
+                    ctx._halted,
+                    ctx.globals,
+                    _pack_rng_state(ctx._rng.getstate())
+                    if ctx._rng is not None
+                    else None,
+                )
         traffic = (self.shard.local_messages, self.shard.remote_messages)
         return ("done", outputs, states, traffic)
-
-    # ------------------------------------------------------------------
-    def arm_sequence(
-        self,
-        protocols: Sequence[Protocol],
-        config: CongestConfig,
-        reset: bool,
-        global_inputs: Optional[Dict[str, Any]],
-        per_node_state: Optional[Dict[int, Dict[str, Any]]],
-    ) -> None:
-        """Arm a fused phase group: one ship, ``len(protocols)`` phases.
-
-        The first protocol is armed exactly like :meth:`arm`; the rest are
-        queued, and :meth:`arm_next_queued` promotes them one at a time
-        right after each ``finish-light`` report — the re-arms the
-        pipeline compiler elides never cross the pipe.
-        """
-        self._queue = list(protocols[1:])
-        self._queue_config = config
-        self.arm(protocols[0], config, reset, global_inputs, per_node_state)
-
-    def arm_next_queued(self) -> bool:
-        """Self-arm the next queued protocol of a fused group, if any.
-
-        The light re-arm replays ``_reset_for_new_protocol`` on the
-        worker-held contexts (``reset=True``), exactly what the parent's
-        ``build_contexts(fresh=False)`` would have done between unfused
-        phases — no global or per-node input deltas exist mid-group.
-        """
-        if not self._queue:
-            return False
-        protocol = self._queue.pop(0)
-        self.arm(protocol, self._queue_config, True, None, None)
-        return True
-
-    def finish_light(self, rounds: int) -> Tuple:
-        """Like :meth:`finish`, but keep the context state worker-side.
-
-        Mid-group harvest of a fused run: outputs and traffic still travel
-        (per-phase results and accounting stay bit-identical), but the
-        per-node state stays here — the next queued phase re-arms on it,
-        and only the group-final ``finish`` folds it back to the parent.
-        """
-        stepper = self.stepper
-        ctx_list = stepper.ctx_list
-        protocol = stepper.protocol
-        outputs: Dict[int, Any] = {}
-        for i in self.shard.owned:
-            ctx = ctx_list[i]
-            ctx._round = rounds
-            outputs[ctx.node_id] = protocol.collect_output(ctx)
-        traffic = (self.shard.local_messages, self.shard.remote_messages)
-        return ("done", outputs, {}, traffic)
 
 
 def _send_error(conn, exc: BaseException) -> None:
@@ -553,6 +531,7 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                 _send_error(conn, exc)
                 break
             op = command[0]
+            injector = harness.injector
             try:
                 if op == "arm":
                     harness.arm(
@@ -561,31 +540,6 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                     if harness.injector is not None and harness.injector.fire("arm"):
                         break  # injected eof: close the pipe and exit
                     continue  # no response: the coordinator pipelines start
-                if op == "arm-seq":
-                    harness.arm_sequence(
-                        command[1], command[2], command[3], command[4], command[5]
-                    )
-                    if harness.injector is not None and harness.injector.fire("arm"):
-                        break
-                    continue  # no response, like "arm"
-                if op == "finish-light":
-                    injector = harness.injector
-                    if injector is not None and injector.fire("finish"):
-                        break
-                    response = harness.finish_light(command[1])
-                    # Report *first*, then self-arm the next queued phase:
-                    # the elided re-arm overlaps the coordinator's output
-                    # merge instead of delaying its barrier.
-                    try:
-                        conn.send(response)
-                    except (BrokenPipeError, OSError):
-                        break
-                    if harness.arm_next_queued():
-                        injector = harness.injector
-                        if injector is not None and injector.fire("arm"):
-                            break  # injected eof, same as a shipped arm
-                    continue
-                injector = harness.injector
                 if op == "start":
                     if injector is not None and injector.fire("start"):
                         break
@@ -597,9 +551,7 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                 elif op == "finish":
                     if injector is not None and injector.fire("finish"):
                         break
-                    # Report and stay armed-able: a session's next execute
-                    # re-arms this same process.
-                    response = harness.finish(command[1])
+                    response = harness.finish(command[1], command[2])
                 else:  # "abort" or anything unrecognized: exit quietly
                     break
             except BaseException as exc:
@@ -609,6 +561,16 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                 conn.send(response)
             except (BrokenPipeError, OSError):
                 break  # coordinator aborted mid-report
+            if op != "finish":
+                continue
+            # Report *first*, then self-arm the group's next queued phase:
+            # the elided re-arm overlaps the coordinator's output merge
+            # instead of delaying its barrier.  The worker stays alive once
+            # the queue is empty — a session's next group re-arms it.
+            if harness.arm_next_queued():
+                injector = harness.injector
+                if injector is not None and injector.fire("arm"):
+                    break  # injected eof, same as a shipped arm
     finally:
         conn.close()
 
@@ -773,12 +735,12 @@ class _WorkerPool:
     """Owns the worker processes of one execution or one session.
 
     Two lifetimes share this class.  Used as a context manager it is the
-    per-execute pool PR 4 shipped: every exit path of the ``with`` runs
-    :meth:`close`, so no worker outlives the ``execute`` call that spawned
-    it (the engine registry shares one ``ShardedEngine`` singleton across
-    all callers, so pool lifetime must never attach to the engine).  A
-    persistent session holds the pool directly across executes and calls
-    :meth:`rearm` between phases; the session's own close paths — context
+    pool of one session-less ``execute``: every exit path of the ``with``
+    runs :meth:`close`, so no worker outlives the call that spawned it (the
+    engine registry shares one ``ShardedEngine`` singleton across all
+    callers, so pool lifetime must never attach to the engine).  A
+    :class:`ProcessSession` holds the pool directly across phase groups and
+    calls :meth:`arm` for each; the session's own close paths — context
     exit, violations, worker deaths — call :meth:`close`, which preserves
     the same teardown guarantee at session scope.
     """
@@ -793,20 +755,23 @@ class _WorkerPool:
         self.closed = False
 
     # ------------------------------------------------------------------
-    def rearm(
+    def arm(
         self,
-        protocol: Protocol,
+        protocols: Sequence[Protocol],
         config: CongestConfig,
         reset: bool = True,
         global_inputs: Optional[Dict[str, Any]] = None,
         per_shard_state: Optional[Dict[int, Dict[int, Dict[str, Any]]]] = None,
         no_reset_shards: frozenset = frozenset(),
     ) -> None:
-        """Arm every worker for the next ``execute``.
+        """Arm every worker for the next phase group in one ship.
 
-        The first arm after a spawn passes ``reset=False`` (the inherited
+        The whole protocol sequence crosses the pipe once; workers
+        self-arm each follow-on phase after reporting the previous one, so
+        a group costs one pool re-arm however many phases it holds.  The
+        first arm after a spawn passes ``reset=False`` (the inherited
         contexts are current); a session's light re-arm passes
-        ``reset=True`` plus the per-call input deltas, routed per shard.
+        ``reset=True`` plus the execute input deltas, routed per shard.
         After a *partial* respawn (delta absorption) the pool is mixed:
         surviving workers need the reset replay while the freshly spawned
         dirty-shard workers inherited already-reset contexts — their shard
@@ -823,7 +788,7 @@ class _WorkerPool:
             shard_reset = reset and handle.shard_index not in no_reset_shards
             try:
                 handle.conn.send(
-                    ("arm", protocol, config, shard_reset, global_inputs, inputs)
+                    ("arm", protocols, config, shard_reset, global_inputs, inputs)
                 )
             except Exception as exc:
                 if isinstance(exc, (BrokenPipeError, OSError)):
@@ -832,51 +797,6 @@ class _WorkerPool:
                     "failed to ship the protocol to the shard %d worker: %s "
                     "(process-backend protocols and per-node state must be "
                     "picklable)" % (handle.shard_index, exc)
-                ) from exc
-
-    # ------------------------------------------------------------------
-    def rearm_sequence(
-        self,
-        protocols: Sequence[Protocol],
-        config: CongestConfig,
-        reset: bool = True,
-        global_inputs: Optional[Dict[str, Any]] = None,
-        per_shard_state: Optional[Dict[int, Dict[int, Dict[str, Any]]]] = None,
-        no_reset_shards: frozenset = frozenset(),
-    ) -> None:
-        """Arm every worker for a fused phase group in one ship.
-
-        Mirrors :meth:`rearm`, but the whole protocol sequence crosses the
-        pipe once; workers self-arm each follow-on phase after reporting
-        the previous one (``finish-light``), so the group costs one pool
-        re-arm however many phases it fuses.
-        """
-        protocols = list(protocols)
-        for handle in self.handles:
-            inputs = (
-                per_shard_state.get(handle.shard_index)
-                if per_shard_state
-                else None
-            )
-            shard_reset = reset and handle.shard_index not in no_reset_shards
-            try:
-                handle.conn.send(
-                    (
-                        "arm-seq",
-                        protocols,
-                        config,
-                        shard_reset,
-                        global_inputs,
-                        inputs,
-                    )
-                )
-            except Exception as exc:
-                if isinstance(exc, (BrokenPipeError, OSError)):
-                    _raise_buffered_error(handle.conn, handle.shard_index)
-                raise ShardWorkerError(
-                    "failed to ship the fused phase group to the shard %d "
-                    "worker: %s (process-backend protocols and per-node "
-                    "state must be picklable)" % (handle.shard_index, exc)
                 ) from exc
 
     # ------------------------------------------------------------------
@@ -908,8 +828,8 @@ class ProcessShardedRun:
     shards live in worker processes and boundary buckets cross the barrier
     as packed :class:`repro.congest.sharding.wire.WireBatch` columns.
 
-    By default the run spawns, arms and reaps its own per-execute pool.  A
-    :class:`ProcessSession` passes its persistent (already armed) *pool*
+    Without a *pool* the run spawns, arms and reaps its own pool for its
+    one phase.  A :class:`ProcessSession` passes its (already armed) *pool*
     instead; the run then only drives the round loop and leaves pool
     lifetime to the session.
 
@@ -919,11 +839,11 @@ class ProcessShardedRun:
         Packed boundary traffic shipped over the run and the number of
         barriers (startup plus one per round); feeds
         :class:`repro.congest.sharding.engine.ShardingStats` and the
-        E15/E16 benchmarks' bytes-per-round reports.
+        E15 benchmark's bytes-per-round reports.
     setup_seconds:
-        Coordinator-side time spent spawning and arming the per-execute
-        pool (zero when a session supplied the pool — the session accounts
-        its own setup).
+        Coordinator-side time spent spawning and arming the run's own pool
+        (zero when a session supplied the pool — the session accounts its
+        own setup).
     """
 
     def __init__(
@@ -942,10 +862,10 @@ class ProcessShardedRun:
         self.contexts = contexts
         self.plan = plan
         self.pool = pool
-        #: ``False`` for every phase of a fused group except the last: the
-        #: harvest ships outputs and traffic only (``finish-light``); the
-        #: per-node state stays worker-side for the self-armed next phase
-        #: and is folded back by the group-final phase's full ``finish``.
+        #: ``False`` for every phase of a group except the last: the
+        #: harvest ships outputs and traffic only; the per-node state
+        #: stays worker-side for the self-armed next phase and is folded
+        #: back by the group-final phase's harvest.
         self.fold_contexts = fold_contexts
         ids, _indptr, _indices = network.csr()
         self.ids = ids
@@ -1109,7 +1029,7 @@ class ProcessShardedRun:
             self.contexts,
         )
         with _WorkerPool(handles, self.config.worker_join_timeout) as pool:
-            pool.rearm(self.protocol, self.config, reset=False)
+            pool.arm([self.protocol], self.config, reset=False)
             self.setup_seconds = time.perf_counter() - started
             return self._drive(pool.handles)
 
@@ -1170,9 +1090,8 @@ class ProcessShardedRun:
         # bit-identical to the phase start — the invariant that makes a
         # supervised retry's replay safe.
         merged_outputs: Dict[int, Any] = {}
-        harvest = "finish" if self.fold_contexts else "finish-light"
         for handle in handles:
-            self._send(handle, (harvest, rounds))
+            self._send(handle, ("finish", rounds, self.fold_contexts))
         reports = self._collect(handles)
         for report in reports:
             _op, outputs, states, traffic = report
@@ -1197,19 +1116,22 @@ class ProcessShardedRun:
 
 
 # ----------------------------------------------------------------------
-# Persistent sessions
+# Sessions
 # ----------------------------------------------------------------------
 class ProcessSession(CongestSession):
-    """A persistent process-backend session: one pool, one shm CSR mapping.
+    """A process-backend session: one pool, one shm CSR mapping.
 
     Opened by :meth:`repro.congest.sharding.engine.ShardedEngine.open_session`
-    when ``CongestConfig.session_mode == "persistent"`` resolves with the
-    ``"process"`` backend.  The shard plan is fixed at open time; across
-    the session's ``execute`` calls:
+    whenever the configuration resolves to the ``"process"`` backend.  The
+    shard plan is fixed at open time.  Every ``execute`` is a phase group
+    of one and every ``execute_fused`` a group of several, and both run the
+    same supervised path:
 
-    * the worker pool survives and is **re-armed** per phase — for a
-      ``reuse_contexts`` execute only the protocol, the model-rule knobs
-      and the per-call input deltas cross the pipes;
+    * the worker pool survives and is **re-armed** per group — for a
+      ``reuse_contexts`` group only the protocols, the model-rule knobs and
+      the execute input deltas cross the pipes, and the workers self-arm
+      each follow-on phase of the group, keeping the context state
+      worker-side until the group-final fold;
     * the CSR/owner tables live in one shared-memory segment
       (:class:`repro.congest.sharding.shm.SharedCSR`) created at first
       spawn and unlinked at close — on every close path, with atexit and
@@ -1221,29 +1143,23 @@ class ProcessSession(CongestSession):
       writes to a live context's ``state`` dict are the one thing no
       engine-side check can see (module docstring), so session callers
       must feed state through inputs or ``build_contexts``;
-    * any error escaping an ``execute`` — model violations, worker deaths —
-      tears the pool down *immediately*; the next ``execute`` (if any)
-      starts a fresh pool, and ``close`` is then a no-op for workers;
+    * any error escaping a group — model violations, worker deaths —
+      tears the pool down *immediately*; the next group (if any) starts a
+      fresh pool, and ``close`` is then a no-op for workers;
     * a network whose CSR fingerprint changed mid-session is reconciled
       against the network's delta ledger: a change fully explained by
       :meth:`repro.congest.network.Network.apply_delta` calls is *absorbed*
       — the shard plan is repaired incrementally around the touched nodes,
       the shm mapping rebuilt, and only dirty shards' workers respawned at
-      the next execute — while any unexplained change (a direct graph
+      the next group — while any unexplained change (a direct graph
       mutation behind the API) invalidates the partition memo and raises,
       because the plan, the mapping and the worker routing tables all
       describe a topology nobody can account for.
 
     Per-phase partials and session totals (boundary bytes, barrier rounds,
-    setup seconds, shm bytes) are exposed as :attr:`stats`, a
-    :class:`repro.congest.sharding.engine.ShardingStats`.
+    setup seconds, shm bytes, re-arms, fused phases) are exposed as
+    :attr:`stats`, a :class:`repro.congest.sharding.engine.ShardingStats`.
     """
-
-    #: Worker-held context state is the source of truth between a fused
-    #: group's phases: the parent's contexts are only folded at group end,
-    #: so parent-side state replay (e.g. an artifact-cache restore) would
-    #: silently desync the pool.  Callers gate such replays on this flag.
-    worker_state_authoritative = True
 
     def __init__(
         self,
@@ -1273,21 +1189,21 @@ class ProcessSession(CongestSession):
         self._ordered = _ShardStepper.ranges_are_ordered(self.plan)
         self._pool: Optional[_WorkerPool] = None
         self.shared_csr: Optional[SharedCSR] = None
-        #: ``network.context_epoch`` as of the last execute whose fold-back
+        #: ``network.context_epoch`` as of the last group whose fold-back
         #: synchronised parent and worker context state; ``None`` until the
-        #: first execute completes.
+        #: first group completes.
         self._epoch: Optional[int] = None
         #: ``network.delta_epoch`` watermark: ledger entries above it are
         #: deltas this session has not yet absorbed.
         self._delta_epoch: int = network.delta_epoch
-        #: Shards whose workers must be respawned at the next execute
+        #: Shards whose workers must be respawned at the next group
         #: because an absorbed delta dirtied them (``None``: no partial
         #: respawn pending).
         self._dirty_shards: Optional[Tuple[int, ...]] = None
         #: ``(touched_indices, dirty_shards)`` of the last absorbed delta,
         #: or ``None``; regression tests and the service's stats read it.
         self.last_repair: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-        #: Shard indices whose worker was (re)spawned by the last execute
+        #: Shard indices whose worker was (re)spawned by the last group
         #: (empty tuple: light re-arm only) — the "recomputed only the
         #: dirty shard" assertion the acceptance tests make.
         self.last_respawned_shards: Tuple[int, ...] = ()
@@ -1296,12 +1212,12 @@ class ProcessSession(CongestSession):
         #: True once supervised retry exhausted its attempts and the
         #: session fell back to the serial in-process sharded backend —
         #: sticky for the rest of the session (the condition that killed
-        #: the pool repeatedly is not expected to clear between phases).
+        #: the pool repeatedly is not expected to clear between groups).
         self._degraded: bool = False
 
     # ------------------------------------------------------------------
     def _check_config(self, config: CongestConfig) -> None:
-        """Reject per-call overrides that conflict with the fixed plan."""
+        """Reject execute-time overrides that conflict with the fixed plan."""
         shards, strategy, backend = self.engine.resolve_structure(config)
         if (shards, strategy, backend) != (
             self._shards,
@@ -1309,7 +1225,7 @@ class ProcessSession(CongestSession):
             "process",
         ):
             raise ValueError(
-                "per-call config resolves to %r shards / %r strategy / %r "
+                "execute config resolves to %r shards / %r strategy / %r "
                 "backend, but this session was opened with %r / %r / "
                 "'process'; structural knobs are fixed for a session's "
                 "lifetime" % (
@@ -1336,16 +1252,51 @@ class ProcessSession(CongestSession):
         per_node_inputs: Optional[Dict[int, Dict[str, Any]]] = None,
         reuse_contexts: bool = False,
     ) -> RunResult:
+        (result,) = self._run_group(
+            [protocol], config, global_inputs, per_node_inputs, reuse_contexts
+        )
+        return result
+
+    def execute_fused(
+        self,
+        protocols: Sequence[Protocol],
+        *,
+        config: Optional[CongestConfig] = None,
+        reuse_contexts: bool = True,
+    ) -> List[RunResult]:
+        """Run a phase group: one pool re-arm for the whole group.
+
+        The protocol sequence is shipped once; workers self-arm each
+        follow-on phase right after its predecessor's report, overlapping
+        the elided re-arm with the coordinator's output merge.  Context
+        state stays worker-side until the group-final phase folds it back
+        — so each phase still runs the exact round loop, metrics and
+        outputs it would have run alone, and a mid-group failure leaves
+        the parent's contexts bit-identical to the group start (a
+        supervised retry replays the *whole group* transactionally).
+        """
+        return self._run_group(list(protocols), config, None, None, reuse_contexts)
+
+    def _run_group(
+        self,
+        protocols: List[Protocol],
+        config: Optional[CongestConfig],
+        global_inputs: Optional[Dict[str, Any]],
+        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
+        reuse_contexts: bool,
+    ) -> List[RunResult]:
         if self.closed:
             raise ProtocolError("execute on a closed CongestSession")
+        if not protocols:
+            return []
         # Fail fast on *every* escaping error — config rejection, a bad
         # per-node input, model violations, worker deaths: the pool is
         # torn down here, not deferred to close(), so the teardown
-        # guarantee holds after any failed execute.  The next execute (if
-        # any) respawns.
+        # guarantee holds after any failed group.  The next group (if any)
+        # respawns.
         try:
-            return self._execute(
-                protocol,
+            return self._supervise(
+                protocols,
                 config if config is not None else self.config,
                 global_inputs,
                 per_node_inputs,
@@ -1358,14 +1309,14 @@ class ProcessSession(CongestSession):
             self._teardown_pool(force=isinstance(exc, ShardWorkerTimeout))
             raise
 
-    def _execute(
+    def _supervise(
         self,
-        protocol: Protocol,
+        protocols: List[Protocol],
         config: CongestConfig,
         global_inputs: Optional[Dict[str, Any]],
         per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
         reuse_contexts: bool,
-    ) -> RunResult:
+    ) -> List[RunResult]:
         self._check_config(config)
         network = self.network
         fingerprint = network.csr_fingerprint()
@@ -1389,7 +1340,7 @@ class ProcessSession(CongestSession):
                 )
 
         # Contexts mutated outside the session (a direct build_contexts
-        # call between phases) make worker-held state stale; detect via the
+        # call between groups) make worker-held state stale; detect via the
         # epoch and fall back to a respawn, which re-ships them.
         external = self._epoch is None or network.context_epoch != self._epoch
         contexts = network.build_contexts(
@@ -1401,20 +1352,20 @@ class ProcessSession(CongestSession):
         if self._degraded or not any(self.plan.shards):
             # Serial fallback: an empty network has nothing to keep a pool
             # for, and a degraded session has proven it cannot keep one.
-            return self._run_serial(protocol, config, contexts)
+            return self._run_serial(protocols, config, contexts)
 
-        # Supervised retry: each attempt runs the phase on a pool; a
+        # Supervised retry: each attempt runs the group on a pool; a
         # ShardWorkerError (timeouts included) with a retry_policy set
-        # tears the pool down and *replays the phase* — the fingerprint /
+        # tears the pool down and *replays the group* — the fingerprint /
         # delta / epoch reconciliation and build_contexts above ran once,
-        # and the parent's contexts are bit-identical to the phase start
-        # because the harvest folds worker state back only after every
-        # worker reported.  The respawned pool re-ships those pristine
-        # contexts (reset=False path), so the replay is deterministic by
-        # the engine contract.  Wire-codec interning state is per pool,
-        # so a retry must always respawn the *whole* pool: a partial
-        # respawn would desynchronize surviving encoders from fresh
-        # decoders.
+        # and the parent's contexts are bit-identical to the group start
+        # because only the group-final harvest folds worker state back,
+        # after every worker reported.  The respawned pool re-ships those
+        # pristine contexts (reset=False path), so the replay is
+        # deterministic by the engine contract.  Wire-codec interning
+        # state is per pool, so a retry must always respawn the *whole*
+        # pool: a partial respawn would desynchronize surviving encoders
+        # from fresh decoders.
         plan_faults = config.fault_plan
         attempt = 0
         while True:
@@ -1424,242 +1375,14 @@ class ProcessSession(CongestSession):
                     config, fault_plan=plan_faults.for_attempt(attempt)
                 )
             try:
-                return self._execute_on_pool(
-                    protocol,
+                return self._run_on_pool(
+                    protocols,
                     attempt_config,
                     global_inputs,
                     per_node_inputs,
                     reuse_contexts,
                     external,
                     contexts,
-                )
-            except ShardWorkerError as exc:
-                timed_out = isinstance(exc, ShardWorkerTimeout)
-                self._teardown_pool(force=timed_out)
-                policy = config.retry_policy
-                if policy is None:
-                    raise
-                if attempt + 1 < policy.max_attempts:
-                    action = "retry"
-                elif policy.degrade:
-                    action = "degrade"
-                else:
-                    action = "abort"
-                self.stats.observe_recovery(
-                    RecoveryEvent(
-                        phase=protocol.name,
-                        error="%s: %s" % (type(exc).__name__, exc),
-                        action=action,
-                        attempt=attempt,
-                        timed_out=timed_out,
-                    )
-                )
-                if action == "abort":
-                    raise
-                if action == "degrade":
-                    self._degraded = True
-                    if self.shared_csr is not None:
-                        shared, self.shared_csr = self.shared_csr, None
-                        shared.destroy()
-                    return self._run_serial(protocol, config, contexts)
-                attempt += 1
-                delay = policy.delay_before(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-
-    def _run_serial(
-        self,
-        protocol: Protocol,
-        config: CongestConfig,
-        contexts: Dict[int, NodeContext],
-    ) -> RunResult:
-        """Complete one phase on the serial in-process sharded backend.
-
-        The degradation target (and the empty-network path): bit-identical
-        to the pool by the engine contract, immune to worker-process
-        failures.  Any fault plan is stripped — the plan describes
-        *worker* faults, and re-simulating the failure the session just
-        degraded away from would defeat the ladder's whole point.
-        """
-        if getattr(config, "fault_plan", None) is not None:
-            config = replace(config, fault_plan=None)
-        run = _ShardedRun(
-            network=self.network,
-            protocol=protocol,
-            config=config,
-            contexts=contexts,
-            plan=self.plan,
-            workers=0,
-        )
-        result = run.run()
-        self._epoch = self.network.context_epoch
-        total, cross = run.traffic_totals()
-        self.stats.observe_phase(protocol.name, total, cross, 0, 0, 0.0)
-        return result
-
-    def _execute_on_pool(
-        self,
-        protocol: Protocol,
-        config: CongestConfig,
-        global_inputs: Optional[Dict[str, Any]],
-        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
-        reuse_contexts: bool,
-        external: bool,
-        contexts: Dict[int, NodeContext],
-    ) -> RunResult:
-        """One attempt of one phase on the (spawned or re-armed) pool."""
-        network = self.network
-        setup_started = time.perf_counter()
-        if self._pool is None or not reuse_contexts or external:
-            self._teardown_pool()
-            self._dirty_shards = None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            handles = _spawn_workers(
-                self.plan,
-                self._ids,
-                network.node_index_of,
-                self._ordered,
-                contexts,
-                shared_csr=self.shared_csr,
-            )
-            self._pool = _WorkerPool(handles, config.worker_join_timeout)
-            self._pool.rearm(protocol, config, reset=False)
-            self.last_respawned_shards = tuple(
-                handle.shard_index for handle in handles
-            )
-        elif self._dirty_shards is not None:
-            # Mid-pipeline delta absorption: only the dirty shards'
-            # workers are respawned (their contexts' neighbour views and
-            # adjacency rows changed); clean shards keep their processes
-            # and replay the usual reset re-arm.
-            dirty, self._dirty_shards = self._dirty_shards, None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            self._respawn_shards(dirty, contexts)
-            self._pool.rearm(
-                protocol,
-                config,
-                reset=True,
-                global_inputs=global_inputs,
-                per_shard_state=self._split_inputs(per_node_inputs),
-                no_reset_shards=frozenset(dirty),
-            )
-            self.last_respawned_shards = tuple(dirty)
-        else:
-            self._pool.rearm(
-                protocol,
-                config,
-                reset=True,
-                global_inputs=global_inputs,
-                per_shard_state=self._split_inputs(per_node_inputs),
-            )
-            self.last_respawned_shards = ()
-        self.stats.rearms += 1
-        setup_seconds = time.perf_counter() - setup_started
-
-        run = ProcessShardedRun(
-            network=network,
-            protocol=protocol,
-            config=config,
-            contexts=contexts,
-            plan=self.plan,
-            pool=self._pool,
-        )
-        result = run.run()
-        self._epoch = network.context_epoch
-        total, cross = run.traffic_totals()
-        self.stats.observe_phase(
-            protocol.name,
-            total,
-            cross,
-            run.boundary_bytes,
-            run.barrier_rounds,
-            setup_seconds,
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    def execute_fused(
-        self,
-        protocols: Sequence[Protocol],
-        *,
-        config: Optional[CongestConfig] = None,
-        reuse_contexts: bool = True,
-    ) -> List[RunResult]:
-        """Run a fused phase group: one pool re-arm for the whole group.
-
-        The protocol sequence is shipped once (``arm-seq``); workers
-        self-arm each follow-on phase right after its predecessor's
-        ``finish-light`` report, overlapping the elided re-arm with the
-        coordinator's output merge.  Context state stays worker-side until
-        the group-final phase's full ``finish`` folds it back — so each
-        phase still runs the exact round loop, metrics and outputs it
-        would have run unfused, and a mid-group failure leaves the
-        parent's contexts bit-identical to the group start (a supervised
-        retry replays the *whole group* transactionally).
-        """
-        if self.closed:
-            raise ProtocolError("execute_fused on a closed CongestSession")
-        protocols = list(protocols)
-        if not protocols:
-            return []
-        if len(protocols) == 1:
-            return [
-                self.execute(
-                    protocols[0], config=config, reuse_contexts=reuse_contexts
-                )
-            ]
-        try:
-            return self._execute_fused(
-                protocols,
-                config if config is not None else self.config,
-                reuse_contexts,
-            )
-        except BaseException as exc:
-            self._teardown_pool(force=isinstance(exc, ShardWorkerTimeout))
-            raise
-
-    def _execute_fused(
-        self,
-        protocols: List[Protocol],
-        config: CongestConfig,
-        reuse_contexts: bool,
-    ) -> List[RunResult]:
-        self._check_config(config)
-        network = self.network
-        fingerprint = network.csr_fingerprint()
-        if fingerprint != self._fingerprint:
-            if not self._absorb_delta(fingerprint):
-                invalidate_partition_cache(network)
-                raise ProtocolError(
-                    "the network mutated during an execution session: its CSR "
-                    "fingerprint no longer matches the shard plan the session "
-                    "was opened with, and the change is not explained by "
-                    "Network.apply_delta (the partition memo has been "
-                    "invalidated; open a new session on a freshly built "
-                    "Network, or mutate through apply_delta so the session "
-                    "can repair incrementally)"
-                )
-        external = self._epoch is None or network.context_epoch != self._epoch
-        contexts = network.build_contexts(fresh=not reuse_contexts)
-
-        if self._degraded or not any(self.plan.shards):
-            return self._run_serial_group(protocols, config, contexts)
-
-        plan_faults = config.fault_plan
-        attempt = 0
-        while True:
-            attempt_config = config
-            if plan_faults is not None and plan_faults.attempt != attempt:
-                attempt_config = replace(
-                    config, fault_plan=plan_faults.for_attempt(attempt)
-                )
-            try:
-                return self._fused_on_pool(
-                    protocols, attempt_config, reuse_contexts, external, contexts
                 )
             except ShardWorkerError as exc:
                 timed_out = isinstance(exc, ShardWorkerTimeout)
@@ -1689,41 +1412,60 @@ class ProcessSession(CongestSession):
                     if self.shared_csr is not None:
                         shared, self.shared_csr = self.shared_csr, None
                         shared.destroy()
-                    return self._run_serial_group(protocols, config, contexts)
+                    return self._run_serial(protocols, config, contexts)
                 attempt += 1
                 delay = policy.delay_before(attempt)
                 if delay > 0:
                     time.sleep(delay)
 
-    def _run_serial_group(
+    def _run_serial(
         self,
         protocols: List[Protocol],
         config: CongestConfig,
         contexts: Dict[int, NodeContext],
     ) -> List[RunResult]:
-        """Degradation target of a fused group: phase-by-phase, serial.
+        """Complete one group on the serial in-process sharded backend.
 
-        The parent's contexts are bit-identical to the group start when
-        this runs (the group-final fold never happened), so replaying the
-        whole group serially is exactly the unfused composite — including
-        the ``build_contexts(fresh=False)`` reset replay between phases.
+        The degradation target (and the empty-network path): bit-identical
+        to the pool by the engine contract, immune to worker-process
+        failures.  The parent's contexts are at the group start when this
+        runs, so replaying the group phase by phase — with the
+        ``build_contexts(fresh=False)`` reset between phases — is exactly
+        what the pool computes.  Any fault plan is stripped: the plan
+        describes *worker* faults, and re-simulating the failure the
+        session just degraded away from would defeat the ladder's point.
         """
+        if getattr(config, "fault_plan", None) is not None:
+            config = replace(config, fault_plan=None)
         results: List[RunResult] = []
         for i, protocol in enumerate(protocols):
             if i:
                 contexts = self.network.build_contexts(fresh=False)
-            results.append(self._run_serial(protocol, config, contexts))
+            run = _ShardedRun(
+                network=self.network,
+                protocol=protocol,
+                config=config,
+                contexts=contexts,
+                plan=self.plan,
+                workers=0,
+            )
+            results.append(run.run())
+            self._epoch = self.network.context_epoch
+            total, cross = run.traffic_totals()
+            self.stats.observe_phase(protocol.name, total, cross, 0, 0, 0.0)
         return results
 
-    def _fused_on_pool(
+    def _run_on_pool(
         self,
         protocols: List[Protocol],
         config: CongestConfig,
+        global_inputs: Optional[Dict[str, Any]],
+        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
         reuse_contexts: bool,
         external: bool,
         contexts: Dict[int, NodeContext],
     ) -> List[RunResult]:
-        """One attempt of one fused group on the (spawned or re-armed) pool.
+        """One attempt of one group on the (spawned or re-armed) pool.
 
         Per-phase stats are buffered and flushed only after the group-final
         fold: a mid-group failure then records nothing, so a retry's replay
@@ -1746,26 +1488,31 @@ class ProcessSession(CongestSession):
                 shared_csr=self.shared_csr,
             )
             self._pool = _WorkerPool(handles, config.worker_join_timeout)
-            self._pool.rearm_sequence(protocols, config, reset=False)
+            self._pool.arm(protocols, config, reset=False)
             self.last_respawned_shards = tuple(
                 handle.shard_index for handle in handles
             )
-        elif self._dirty_shards is not None:
-            dirty, self._dirty_shards = self._dirty_shards, None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            self._respawn_shards(dirty, contexts)
-            self._pool.rearm_sequence(
+        else:
+            dirty: Tuple[int, ...] = ()
+            if self._dirty_shards is not None:
+                # Mid-pipeline delta absorption: only the dirty shards'
+                # workers are respawned (their contexts' neighbour views
+                # and adjacency rows changed); clean shards keep their
+                # processes and replay the usual reset re-arm.
+                dirty, self._dirty_shards = self._dirty_shards, None
+                if self.shared_csr is None:
+                    self.shared_csr = SharedCSR.create(network, self.plan)
+                    self.stats.shm_bytes = self.shared_csr.nbytes
+                self._respawn_shards(dirty, contexts)
+            self._pool.arm(
                 protocols,
                 config,
                 reset=True,
+                global_inputs=global_inputs,
+                per_shard_state=self._split_inputs(per_node_inputs),
                 no_reset_shards=frozenset(dirty),
             )
-            self.last_respawned_shards = tuple(dirty)
-        else:
-            self._pool.rearm_sequence(protocols, config, reset=True)
-            self.last_respawned_shards = ()
+            self.last_respawned_shards = dirty
         self.stats.rearms += 1
         self.stats.fused_phases += len(protocols) - 1
         setup_seconds = time.perf_counter() - setup_started

@@ -1,9 +1,9 @@
 """Pipeline-effects rules (PIPE0xx).
 
-The pipeline compiler (``repro.congest.pipeline``) plans phase fusion and
-prefix caching from each protocol's declared :class:`PhaseEffects` — an
-``effects()`` declaration that omits a context key the hooks actually touch
-can validate a plan whose dataflow is wrong.  PIPE001 keeps declarations
+The pipeline compiler (``repro.congest.pipeline``) plans phase fusion from
+each protocol's declared :class:`PhaseEffects` — an ``effects()``
+declaration that omits a context key the hooks actually touch can validate
+a plan whose dataflow is wrong.  PIPE001 keeps declarations
 honest: every ``ctx.state[...]`` / ``ctx.globals[...]`` key a hook touches
 with a statically resolvable name must appear in the declaration.
 
@@ -197,8 +197,8 @@ def _key_usages(
 @rule(
     "PIPE001",
     SEVERITY_ERROR,
-    "the pipeline compiler fuses phases and caches prefixes from declared "
-    "PhaseEffects; a hook touching a context key the declaration omits "
+    "the pipeline compiler fuses phases from declared PhaseEffects; "
+    "a hook touching a context key the declaration omits "
     "plans dataflow the execution does not honour",
 )
 def undeclared_effect_key(unit: ModuleUnit) -> Iterator[LintFinding]:

@@ -65,12 +65,11 @@ class TolerantNearCliqueTester:
     congest_config:
         Optional :class:`repro.congest.config.CongestConfig` for
         :meth:`find_distributed` — the way to reach engine-specific knobs
-        such as ``shards`` / ``shard_workers`` and ``session_mode``
+        such as ``shards`` / ``shard_workers`` / ``shard_backend``
         (:meth:`find_distributed` runs the full pipeline inside one
-        execution session, so ``session_mode="persistent"`` amortises the
-        process backend's worker-pool/shared-memory setup across the ~14
-        phases; the session's accounting is exposed afterwards as
-        :attr:`last_session_stats`).  ``congest_engine`` (when given)
+        execution session, so the process backend's worker-pool/shared-
+        memory setup is paid once across the ~14 phases; the session's
+        accounting is exposed afterwards as :attr:`last_session_stats`).  ``congest_engine`` (when given)
         still overrides the configuration's engine field.
     """
 

@@ -2,12 +2,51 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 
 import pytest
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python < 3.11; pytest itself depends on tomli
+    import tomli as tomllib
+
+import repro
 from repro import cli
 from repro.graphs import io
+
+
+#: The repository root, which holds ``pyproject.toml`` and ``setup.py``.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestPackaging:
+    """The install metadata ships the package and the documented script."""
+
+    def _pyproject(self):
+        with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as handle:
+            return tomllib.load(handle)
+
+    def test_pyproject_declares_the_console_script(self):
+        project = self._pyproject()["project"]
+        assert project["name"] == "repro-nearclique"
+        assert "networkx" in project["dependencies"]
+        target = project["scripts"]["repro-nearclique"]
+        module_name, _, attribute = target.partition(":")
+        assert getattr(importlib.import_module(module_name), attribute) is cli.main
+
+    def test_pyproject_finds_the_src_package_and_its_version(self):
+        # ``setup.py`` is a shim that defers to this metadata; without it an
+        # install reports UNKNOWN / 0.0.0 and ships no ``repro`` package.
+        setuptools_table = self._pyproject()["tool"]["setuptools"]
+        (where,) = setuptools_table["packages"]["find"]["where"]
+        assert os.path.isfile(os.path.join(REPO_ROOT, where, "repro", "__init__.py"))
+        module_name, _, attribute = setuptools_table["dynamic"]["version"][
+            "attr"
+        ].rpartition(".")
+        version = getattr(importlib.import_module(module_name), attribute)
+        assert version == repro.__version__ and version != "0.0.0"
 
 
 class TestGenerateCommand:
@@ -144,8 +183,8 @@ class TestFindCommand:
         assert reports["sharded"] == reports["batched"]
 
     def test_session_mode_process_backend_report(self, capsys):
-        # Persistent sessions must not change the finder's report (engines
-        # are bit-identical in session mode) and must append the
+        # The process backend's session must not change the finder's report
+        # (engines are bit-identical in a session) and must append the
         # execution-session totals.
         reports = {}
         for name, extra in (
@@ -159,8 +198,6 @@ class TestFindCommand:
                     "2",
                     "--shard-backend",
                     "process",
-                    "--session-mode",
-                    "persistent",
                 ],
             ),
         ):

@@ -484,7 +484,7 @@ SESSION_BACKENDS = [
     ),
 ]
 
-#: Graph subset for the session pipeline arm (the per-call arm already
+#: Graph subset for the session pipeline arm (the direct-execute arm already
 #: sweeps the full pool per engine; this keeps the session arm affordable
 #: while covering sparse, dense, disconnected and planted shapes).
 SESSION_GRAPHS = [
@@ -584,13 +584,13 @@ class _EchoSessionGlobal(Protocol):
 
 
 class TestSessionMode:
-    """The differential session arm: every backend, one persistent session.
+    """The differential session arm: every backend, one session.
 
     Bit-identity with the reference oracle must hold when a composite
     chain runs through one :class:`repro.congest.engine.CongestSession`
-    instead of per-call executes — for the thin per-call wrappers
-    trivially, and for the process backend's persistent session across
-    pool reuse, light re-arms and epoch-triggered respawns.  Test ids
+    instead of direct engine executes — for the thin wrappers trivially,
+    and for the process backend's session across pool reuse, light
+    re-arms and epoch-triggered respawns.  Test ids
     carry ``session`` (class and parameter ids) so CI's session job
     selects exactly this arm with ``-k session``.
     """
@@ -606,48 +606,59 @@ class TestSessionMode:
 
     @pytest.mark.parametrize("engine,fields", SESSION_BACKENDS)
     def test_full_runner_identical_in_session(self, engine, fields):
+        # The runner on a caller-opened session, as the service layer uses
+        # it: the runner must leave the session open, and two runs back to
+        # back share it (on the process backend, one pool across a context
+        # rebuild).  The second run forces a sample, so its sampling group
+        # carries per-node inputs as well as the global ones.  Each run
+        # must match the reference engine bit for bit.
         graph, _ = generators.planted_near_clique(
             n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
         )
         results = {}
         for name, config in (
             ("reference", CongestConfig(engine="reference")),
-            (
-                "candidate",
-                CongestConfig(
-                    engine=engine, session_mode="persistent", **fields
-                ),
-            ),
+            ("candidate", CongestConfig(engine=engine, **fields)),
         ):
+            config = config.with_log_budget(graph.number_of_nodes())
+            network = Network(graph, seed=1003)
             runner = DistNearCliqueRunner(
                 epsilon=0.25,
                 sample_probability=0.1,
                 rng=random.Random(1003),
-                config=config.with_log_budget(graph.number_of_nodes()),
+                config=config,
             )
-            result = runner.run(graph)
-            results[name] = (
-                result.labels,
-                result.sample,
-                result.metrics.rounds,
-                result.metrics.total_messages,
-                result.metrics.total_bits,
-                _trace(result.metrics),
-            )
+            runs = []
+            with get_engine(config.engine).open_session(network, config) as session:
+                for query_seed, sample in ((11, None), (12, (0, 7, 19, 42))):
+                    network.reseed(query_seed)
+                    result = runner.run(network=network, sample=sample, session=session)
+                    assert not session.closed
+                    runs.append(
+                        (
+                            result.labels,
+                            result.sample,
+                            result.metrics.rounds,
+                            result.metrics.total_messages,
+                            result.metrics.total_bits,
+                            _trace(result.metrics),
+                        )
+                    )
+            results[name] = runs
         assert results["candidate"] == results["reference"], (
-            "runner diverged in session mode under %r (%r)" % (engine, fields)
+            "runner diverged in a shared session under %r (%r)" % (engine, fields)
         )
 
     @pytest.mark.parametrize("engine,fields", SESSION_BACKENDS)
     def test_full_runner_identical_with_fused_pipeline_session(
         self, engine, fields
     ):
-        # ``pipeline_mode="fuse"`` compiles the composite into fused groups
-        # (``execute_fused``; on the process backend one arm-seq plus a
-        # finish-light chain per group, context fold-back only at the group
-        # boundary).  Fusion elides coordination, never semantics: outputs,
-        # rounds and the full per-round trace must stay bit-identical to
-        # the reference engine with the pipeline off.
+        # The runner compiles the composite into fused groups
+        # (``execute_fused``; on the process backend one arm plus a chain
+        # of self-armed phases per group, context fold-back only at the
+        # group boundary).  Fusion elides coordination, never semantics:
+        # outputs, rounds and the full per-round trace must stay
+        # bit-identical to the reference engine.
         graph, _ = generators.planted_near_clique(
             n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
         )
@@ -656,12 +667,7 @@ class TestSessionMode:
             ("reference", CongestConfig(engine="reference")),
             (
                 "candidate",
-                CongestConfig(
-                    engine=engine,
-                    session_mode="persistent",
-                    pipeline_mode="fuse",
-                    **fields,
-                ),
+                CongestConfig(engine=engine, **fields),
             ),
         ):
             runner = DistNearCliqueRunner(

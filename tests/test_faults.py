@@ -8,9 +8,9 @@ The claims under test, in increasing order of machinery:
    through a barrier raises :class:`ShardWorkerTimeout` within the
    configured deadline instead of blocking the coordinator forever, and no
    worker process outlives the failed call.
-3. **Supervised retry is invisible in the output** — a persistent process
-   session that crashes, hangs or decodes garbage mid-pipeline and recovers
-   (phase replay on a fresh pool, or degradation to the serial backend)
+3. **Supervised retry is invisible in the output** — a process session
+   that crashes, hangs or decodes garbage mid-pipeline and recovers (phase
+   group replay on a fresh pool, or degradation to the serial backend)
    produces a result *bit-identical* to a clean run on the reference
    engine.  That is the whole point of deterministic replay: recovery is an
    implementation detail, not an observable event.
@@ -92,23 +92,23 @@ def _fingerprint(result):
     )
 
 
-def _run_pipeline(graph, config, seed=5):
+def _run_pipeline(graph, config, seed=5, sample=None):
     runner = DistNearCliqueRunner(
         parameters=PARAMS, rng=random.Random(seed), config=config
     )
-    result = runner.run(graph)
+    result = runner.run(graph, sample=sample)
     return result, runner.last_session_stats
 
 
-def _reference_fingerprint(graph, n, seed=5):
+def _reference_fingerprint(graph, n, seed=5, sample=None):
     config = CongestConfig(engine="reference").with_log_budget(n)
-    result, _ = _run_pipeline(graph, config, seed=seed)
+    result, _ = _run_pipeline(graph, config, seed=seed, sample=sample)
     return _fingerprint(result)
 
 
 def _faulty_config(n, fault_plan, *, round_timeout=None, retry=None, shards=3):
     return dataclasses.replace(
-        CongestConfig(session_mode="persistent")
+        CongestConfig()
         .with_sharding(shards=shards, backend="process")
         .with_log_budget(n),
         fault_plan=fault_plan,
@@ -362,10 +362,12 @@ class TestSupervisedRetry:
         return _connected_gnp(self.N, 0.12, seed=3)
 
     def test_crash_and_hang_mid_pipeline_recover_bit_identically(self):
-        # The issue's acceptance scenario: one worker crash in one phase
-        # plus one hang in another, both on the persistent process
-        # session; the run must complete via phase replay and match the
-        # reference engine bit for bit.
+        # One worker crash in one phase plus one hang in another, both on
+        # the process session; the run must complete via replay and match
+        # the reference engine bit for bit.  Both phases sit in the one
+        # fused exploration group, which is the replay unit: the hang fails
+        # attempt 0, the crash fails the replay (attempt 1), and attempt 2
+        # completes.
         graph = self._graph()
         oracle = _reference_fingerprint(graph, self.N)
         plan = FaultPlan(
@@ -376,6 +378,7 @@ class TestSupervisedRetry:
                     shard=1,
                     phase="nc-comp-dissemination",
                     round_index=1,
+                    attempt=1,
                 ),
                 FaultSpec(
                     point="round",
@@ -391,7 +394,7 @@ class TestSupervisedRetry:
             self.N,
             plan,
             round_timeout=2.0,
-            retry=RetryPolicy(max_attempts=2),
+            retry=RetryPolicy(max_attempts=3),
         )
         result, stats = _run_pipeline(graph, config)
         assert _fingerprint(result) == oracle
@@ -433,11 +436,10 @@ class TestSupervisedRetry:
         _assert_no_worker_processes()
 
     def test_fused_group_crash_replays_transactionally_bit_identically(self):
-        # ``pipeline_mode="fuse"``: per-phase context fold-backs inside a
-        # fused group are elided, so the *group* is the transaction unit —
-        # a crash in a mid-group phase must replay the whole group from
-        # the pristine group-start contexts and still match the reference
-        # engine bit for bit.
+        # Per-phase context fold-backs inside a fused group are elided, so
+        # the *group* is the transaction unit — a crash in a mid-group
+        # phase must replay the whole group from the pristine group-start
+        # contexts and still match the reference engine bit for bit.
         graph = self._graph()
         oracle = _reference_fingerprint(graph, self.N)
         plan = FaultPlan(
@@ -451,10 +453,7 @@ class TestSupervisedRetry:
                 ),
             )
         )
-        config = dataclasses.replace(
-            _faulty_config(self.N, plan, retry=RetryPolicy(max_attempts=2)),
-            pipeline_mode="fuse",
-        )
+        config = _faulty_config(self.N, plan, retry=RetryPolicy(max_attempts=2))
         result, stats = _run_pipeline(graph, config)
         assert _fingerprint(result) == oracle
         assert stats.retries == 1
@@ -471,6 +470,11 @@ class TestSupervisedRetry:
         _assert_no_worker_processes()
 
     def test_fused_group_persistent_failure_degrades_bit_identically(self):
+        # The failing phase sits near the end of the fused exploration
+        # group, so most of the group has already run on the pool twice
+        # when the supervisor degrades: the serial fallback must
+        # restart the whole group from its pristine group-start contexts,
+        # not resume from the failed phase.
         graph = self._graph()
         oracle = _reference_fingerprint(graph, self.N)
         specs = tuple(
@@ -484,17 +488,36 @@ class TestSupervisedRetry:
             )
             for attempt in (0, 1)
         )
-        config = dataclasses.replace(
-            _faulty_config(
-                self.N, FaultPlan(specs=specs), retry=RetryPolicy(max_attempts=2)
-            ),
-            pipeline_mode="fuse",
+        config = _faulty_config(
+            self.N, FaultPlan(specs=specs), retry=RetryPolicy(max_attempts=2)
         )
         result, stats = _run_pipeline(graph, config)
         assert _fingerprint(result) == oracle
         assert stats.degradations == 1
         actions = [event.action for event in stats.recovery_events]
         assert actions == ["retry", "degrade"]
+        _assert_no_worker_processes()
+
+    def test_single_phase_crash_replays_with_its_inputs(self):
+        # nc-sampling runs as a group of one that carries the runner's
+        # global inputs and, with a forced sample, per-node inputs too.  A
+        # crash there must replay with both re-applied: the forced sample
+        # and the parameters land exactly as on the reference engine.
+        graph = self._graph()
+        sample = (0, 7, 19)
+        oracle = _reference_fingerprint(graph, self.N, sample=sample)
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(point="start", kind="crash", shard=1, phase="nc-sampling"),
+            )
+        )
+        config = _faulty_config(self.N, plan, retry=RetryPolicy(max_attempts=2))
+        result, stats = _run_pipeline(graph, config, sample=sample)
+        assert _fingerprint(result) == oracle
+        assert result.sample == frozenset(sample)
+        assert [(e.phase, e.action) for e in stats.recovery_events] == [
+            ("nc-sampling", "retry")
+        ]
         _assert_no_worker_processes()
 
     def test_no_policy_means_failures_propagate(self):

@@ -956,25 +956,18 @@ class TestExecutionSessions:
                 session.execute(_PingAll())
         _assert_no_worker_processes()
 
-    def test_session_mode_validation(self):
-        network = Network(nx.cycle_graph(6), seed=0)
-        with pytest.raises(ValueError, match="unknown session mode"):
-            get_engine("batched").open_session(
-                network, CongestConfig(session_mode="bogus")
-            )
-        with pytest.raises(ValueError, match="unknown session mode"):
-            get_engine("sharded").open_session(
-                network, CongestConfig(session_mode="bogus")
-            )
-        assert (
-            CongestConfig().with_session_mode("persistent").session_mode
-            == "persistent"
-        )
-
     def test_session_default_is_thin_wrapper(self):
-        # Engines without per-execute setup return the base session even in
-        # persistent mode; the sharded in-process backends likewise.
+        # Engines without per-execute setup return the base session; the
+        # sharded in-process backends likewise.  Only the process backend
+        # opens a ProcessSession — with the default config, no opt-in.
+        from repro.congest.sharding.workers import ProcessSession
+
         network = Network(nx.cycle_graph(6), seed=0)
+        process = get_engine("sharded").open_session(
+            network, CongestConfig().with_sharding(shards=2, backend="process")
+        )
+        assert type(process) is ProcessSession
+        process.close()
         thin = get_engine("batched").open_session(
             network, CongestConfig(session_mode="persistent")
         )
@@ -1105,7 +1098,7 @@ class TestSessionDeltaAbsorption:
         assert before[2] != after[2]
 
     def test_session_serial_sharded_recomputes_after_delta(self):
-        # The per-call sharded engine has no pool to repair; it must simply
+        # The session-less sharded engine has no pool to repair; it must simply
         # not serve a stale memoised plan after a delta.
         graph = _three_cliques()
         network = Network(graph, seed=0)
@@ -1209,11 +1202,11 @@ class TestShardingStatsAccounting:
 
 
 class TestPipelineFusionSession:
-    """``pipeline_mode="fuse"`` on a persistent process session.
+    """Fused pipelines on a process session.
 
     Bit-identity of fused *results* lives in the differential suite; this
     class pins the coordination claim itself: the composite runner ships
-    whole fused groups (one ``arm-seq``, workers self-arm between phases),
+    whole fused groups (one ``arm``, workers self-arm between phases),
     so the session's pool re-arms stay strictly below the phases executed.
     Test names carry ``session`` so CI's session job selects them.
     """
@@ -1226,8 +1219,6 @@ class TestPipelineFusionSession:
             engine="sharded",
             shards=2,
             shard_backend="process",
-            session_mode="persistent",
-            pipeline_mode="fuse",
         )
         runner = DistNearCliqueRunner(
             epsilon=0.25,
@@ -1243,7 +1234,7 @@ class TestPipelineFusionSession:
         phases_executed = len(stats.phases)
         # The satellite invariant: strictly fewer pool re-arms than phases.
         assert stats.rearms < phases_executed
-        # And the exact plan shape: the sampling phase plus one arm-seq
+        # And the exact plan shape: the sampling phase plus one arm
         # covering the entire fused exploration+decision suffix.
         assert stats.rearms == 2
         assert stats.fused_phases == phases_executed - stats.rearms
@@ -1260,30 +1251,55 @@ class TestPipelineFusionSession:
 
 
 class TestSessionModeConstructionValidation:
-    """``session_mode`` typos fail at config construction (satellite fix)."""
+    """Only ``session_mode="persistent"`` / ``pipeline_mode="fuse"`` construct.
+
+    The per-phase session and the unfused pipeline are gone; the fields stay
+    so that configurations naming the surviving values keep constructing,
+    and anything else fails at construction, naming the surviving value.
+    """
+
+    def test_removed_session_mode_names_the_surviving_value(self):
+        with pytest.raises(
+            ValueError, match="unknown session mode 'per-call'.*persistent"
+        ):
+            CongestConfig(session_mode="per-call")
+
+    def test_removed_pipeline_mode_names_the_surviving_value(self):
+        with pytest.raises(ValueError, match="unknown pipeline mode 'off'.*fuse"):
+            CongestConfig(pipeline_mode="off")
 
     def test_constructor_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown session mode"):
             CongestConfig(session_mode="presistent")
 
     def test_error_lists_allowed_values(self):
-        with pytest.raises(ValueError, match="per-call, persistent"):
+        with pytest.raises(ValueError, match="available modes: persistent$"):
             CongestConfig(session_mode="bogus")
-
-    def test_with_session_mode_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown session mode"):
-            CongestConfig().with_session_mode("bogus")
+        with pytest.raises(ValueError, match="available modes: fuse$"):
+            CongestConfig(pipeline_mode="bogus")
 
     def test_replace_reruns_validation(self):
-        config = CongestConfig(session_mode="persistent")
+        config = CongestConfig()
         with pytest.raises(ValueError, match="unknown session mode"):
             dataclasses.replace(config, session_mode="bogus")
+        with pytest.raises(ValueError, match="unknown pipeline mode"):
+            dataclasses.replace(config, pipeline_mode="bogus")
 
     def test_valid_modes_construct(self):
-        assert CongestConfig(session_mode="per-call").session_mode == "per-call"
-        assert (
-            CongestConfig().with_session_mode("persistent").session_mode
-            == "persistent"
+        config = CongestConfig()
+        assert (config.session_mode, config.pipeline_mode) == ("persistent", "fuse")
+        # The end-to-end benchmark's engine sweep names both values.
+        sweep = CongestConfig(
+            engine="sharded",
+            shards=2,
+            shard_backend="process",
+            session_mode="persistent",
+            pipeline_mode="fuse",
+        )
+        assert (sweep.engine, sweep.shards, sweep.shard_backend) == (
+            "sharded",
+            2,
+            "process",
         )
 
 
