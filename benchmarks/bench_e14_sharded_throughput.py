@@ -170,13 +170,14 @@ def _cut_overhead_table(name, graph):
     rows = []
     cut_by_strategy = {}
     for strategy in PARTITION_STRATEGIES:
-        engine = ShardedEngine(
-            shards=SHARDS, workers=0, strategy=strategy, collect_stats=True
+        engine = ShardedEngine(collect_stats=True)
+        config = CongestConfig().with_sharding(
+            SHARDS, workers=0, strategy=strategy
         )
         plan = partition_network(
             Network(graph, seed=0), SHARDS, strategy=strategy
         )
-        _, result = _run_once(graph, sample, engine=engine)
+        _, result = _run_once(graph, sample, engine=engine, config=config)
         stats = engine.stats
         cut_by_strategy[strategy] = plan.cut_edges
         rows.append(

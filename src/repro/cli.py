@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis import tables
 from repro.congest.config import CongestConfig, RetryPolicy

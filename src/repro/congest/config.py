@@ -8,7 +8,7 @@ exercise both the strict and the permissive behaviours).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
 #: Session lifetimes accepted by ``CongestConfig.session_mode``.  Only
@@ -196,9 +196,9 @@ class CongestConfig:
     retry_policy:
         Optional :class:`RetryPolicy` enabling supervised retry (and, by
         default, graceful degradation to the serial sharded backend) for
-        process sessions.  ``None`` (the default) keeps the
-        original fail-fast semantics: any worker failure aborts the
-        ``execute``.
+        the process backend, with or without a session.  ``None`` (the
+        default) keeps the original fail-fast semantics: any worker
+        failure aborts the ``execute``.
     fault_plan:
         Optional :class:`repro.congest.sharding.faults.FaultPlan` injecting
         deterministic failures into the sharded execution stack — worker

@@ -34,8 +34,8 @@ boundary at the round barrier.  This package provides:
     composite pipeline (every session opened on the process backend).
 
 :mod:`repro.congest.sharding.shm`
-    The shared-memory CSR segment (``SharedCSR``) a session's workers
-    attach to: one mapping of the id/adjacency/owner tables serving every
+    The shared-memory segment (``SharedCSR``) a session's workers
+    attach to: one mapping of the id/owner routing tables serving every
     phase, with unlink guaranteed on session close and guarded on crash.
 
 Importing this package registers the engine; the registry in

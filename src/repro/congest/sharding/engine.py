@@ -67,7 +67,9 @@ observe a nondeterministic interleaving under thread mode and fully
 isolated per-worker copies under process mode; per-node outputs and metrics
 remain bit-identical in every backend.  Pools of either kind belong to one
 ``execute`` call or to one session (:meth:`ShardedEngine.open_session`),
-never to the engine — the registry's shared singleton holds no workers.
+never to the engine — the registry's shared singleton holds no workers.  A
+session-less process-backend ``execute`` opens a one-group session and
+closes it before returning.
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ from repro.congest.sharding.partition import (
     cached_partition,
 )
 
-#: Execution backends accepted by ``CongestConfig.shard_backend`` and the
-#: engine's ``backend=`` constructor argument.
+#: Execution backends accepted by ``CongestConfig.shard_backend``.
 SHARD_BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
 
 #: Stable-sort key restoring the contract's ascending-sender inbox order
@@ -273,11 +274,14 @@ class ShardingStats:
         barriers that shipped them.  Only the process backend serializes
         boundary traffic, so both stay zero for the in-process backends.
     setup_seconds:
-        Coordinator-side seconds spent on per-``execute`` setup (worker
-        spawn, arming) summed over the recorded runs.
+        Coordinator-side seconds a process session spent spawning or
+        re-arming its pool, summed over the recorded phase groups (a
+        session-less process ``execute`` is a group of one, so it pays one
+        spawn).  Zero for the in-process backends, which have no pool.
     shm_bytes:
-        Bytes of CSR/owner tables held in the session's shared-memory
-        mapping (zero outside process sessions).
+        Bytes of id/owner tables held in the session's shared-memory
+        mapping (zero outside process sessions; summed over the sessions
+        folded in by :meth:`merge`).
     phases:
         Per-``execute`` partials (:class:`SessionPhaseStats`), appended by
         sessions in phase order; the counters above are the session totals.
@@ -349,11 +353,10 @@ class ShardingStats:
     ) -> None:
         """Fold one execution into the session totals.
 
-        The **only** accumulation path: :meth:`observe_phase` delegates
-        here, and :meth:`ShardedEngine.execute` calls this directly, so one
-        ``execute`` can never be added to the totals twice no matter which
-        observer fires (the double-accounting risk when a stats-collecting
-        engine and a session both observed the same run).
+        The **only** per-run accumulation path: :meth:`observe_phase`
+        delegates here, and :meth:`ShardedEngine.execute` calls this
+        directly for in-process runs, so one ``execute`` is added to the
+        totals exactly once.
         """
         self.runs += 1
         self.protocol_messages += protocol_messages
@@ -391,6 +394,17 @@ class ShardingStats:
                 setup_seconds=setup_seconds,
             )
         )
+
+    def merge(self, other: "ShardingStats") -> None:
+        """Fold *other* (a closed session's stats) into these totals.
+
+        Every attribute is a counter (summed) or a record list (extended).
+        """
+        for name, value in vars(other).items():
+            if isinstance(value, list):
+                getattr(self, name).extend(value)
+            else:
+                setattr(self, name, getattr(self, name) + value)
 
     def observe_recovery(self, event: RecoveryEvent) -> None:
         """Record one worker failure and the supervisor's decision."""
@@ -757,13 +771,6 @@ class _ShardedRun(_ShardStepper):
         remote = sum(shard.remote_messages for shard in self.shards)
         return local + remote, remote
 
-    #: Packed boundary traffic: the in-process backends never serialize, so
-    #: the stats fields stay zero (contrast ``ProcessShardedRun``); likewise
-    #: there is no pool to spawn, so setup time is not accounted.
-    boundary_bytes = 0
-    barrier_rounds = 0
-    setup_seconds = 0.0
-
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         config = self.config
@@ -868,20 +875,14 @@ class _ShardedRun(_ShardStepper):
 class ShardedEngine(Engine):
     """Partition-parallel round loop; see the module docstring for details.
 
-    Selectable as ``engine="sharded"``.  The registry instance reads every
-    knob from the configuration (``CongestConfig.shards``,
+    Selectable as ``engine="sharded"``.  Every structural knob is read from
+    the configuration (``CongestConfig.shards``,
     ``CongestConfig.shard_workers``, ``CongestConfig.shard_strategy``,
-    ``CongestConfig.shard_backend``); constructor arguments override the
-    configuration for callers that build their own instance (the E14/E15
-    benchmarks, tests).
+    ``CongestConfig.shard_backend``; see
+    :meth:`repro.congest.config.CongestConfig.with_sharding`).
 
     Parameters
     ----------
-    shards / workers / strategy / backend:
-        Shard count, thread-pool width (``<= 1`` means the serial
-        deterministic mode), partitioner strategy and execution backend
-        (one of :data:`SHARD_BACKENDS`).  ``None`` defers to the
-        configuration.
     partition_seed:
         Seed of the partitioner's RNG (plans are deterministic for a fixed
         seed).
@@ -894,55 +895,28 @@ class ShardedEngine(Engine):
 
     name = "sharded"
 
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
-        strategy: Optional[str] = None,
-        backend: Optional[str] = None,
-        partition_seed: int = 0,
-        collect_stats: bool = False,
-    ) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be at least 1 when given")
-        if backend is not None and backend not in SHARD_BACKENDS:
-            raise ValueError(
-                "unknown shard backend %r; available backends: %s"
-                % (backend, ", ".join(SHARD_BACKENDS))
-            )
-        self.shards = shards
-        self.workers = workers
-        self.strategy = strategy
-        self.backend = backend
+    def __init__(self, partition_seed: int = 0, collect_stats: bool = False) -> None:
         self.partition_seed = partition_seed
         self.stats: Optional[ShardingStats] = (
             ShardingStats() if collect_stats else None
         )
 
     # ------------------------------------------------------------------
-    def resolve_structure(
-        self, config: CongestConfig
-    ) -> Tuple[int, str, str]:
-        """``(shards, strategy, backend)`` for *config* under this instance.
+    @staticmethod
+    def resolve_structure(config: CongestConfig) -> Tuple[int, str, str]:
+        """``(shards, strategy, backend)`` of *config*, validated.
 
-        Instance constructor arguments override the configuration's
-        fields.  This is the single resolution used by :meth:`execute`,
-        :meth:`open_session` and a process session's execute-time config
-        validation, so the three can never drift.
+        The single resolution used by :meth:`execute`, :meth:`open_session`
+        and a process session's execute-time config validation, so the
+        three can never drift.
         """
-        shards = self.shards if self.shards is not None else config.shards
-        strategy = (
-            self.strategy if self.strategy is not None else config.shard_strategy
-        )
-        backend = self.backend if self.backend is not None else config.shard_backend
+        backend = config.shard_backend
         if backend not in SHARD_BACKENDS:
             raise ValueError(
                 "unknown shard backend %r; available backends: %s"
                 % (backend, ", ".join(SHARD_BACKENDS))
             )
-        if shards < 1:
-            raise ValueError("shards must be at least 1, got %r" % (shards,))
-        return shards, strategy, backend
+        return config.shards, config.shard_strategy, backend
 
     # ------------------------------------------------------------------
     def execute(
@@ -956,7 +930,22 @@ class ShardedEngine(Engine):
     ) -> RunResult:
         config = config or CongestConfig()
         shards, strategy, backend = self.resolve_structure(config)
-        workers = self.workers if self.workers is not None else config.shard_workers
+        if backend == "process":
+            # A session-less call is a one-group session: the same pool
+            # lifetime, shared-memory table handoff and supervised retry as
+            # every other process-backend run.
+            session = self.open_session(network, config)
+            try:
+                with session:
+                    return session.execute(
+                        protocol,
+                        global_inputs=global_inputs,
+                        per_node_inputs=per_node_inputs,
+                        reuse_contexts=reuse_contexts,
+                    )
+            finally:
+                if self.stats is not None:
+                    self.stats.merge(session.stats)
         plan = cached_partition(
             network, shards, strategy=strategy, seed=self.partition_seed
         )
@@ -965,37 +954,18 @@ class ShardedEngine(Engine):
             per_node_inputs=per_node_inputs,
             fresh=not reuse_contexts,
         )
-        if backend == "process" and any(owned for owned in plan.shards):
-            # Imported lazily: workers.py needs this module's stepper.
-            from repro.congest.sharding.workers import ProcessShardedRun
-
-            run = ProcessShardedRun(
-                network=network,
-                protocol=protocol,
-                config=config,
-                contexts=contexts,
-                plan=plan,
-            )
-        else:
-            run = _ShardedRun(
-                network=network,
-                protocol=protocol,
-                config=config,
-                contexts=contexts,
-                plan=plan,
-                workers=0 if backend == "serial" else workers,
-            )
+        run = _ShardedRun(
+            network=network,
+            protocol=protocol,
+            config=config,
+            contexts=contexts,
+            plan=plan,
+            workers=0 if backend == "serial" else config.shard_workers,
+        )
         result = run.run()
         if self.stats is not None:
             total, cross = run.traffic_totals()
-            self.stats.observe_run(
-                total,
-                cross,
-                run.boundary_bytes,
-                run.barrier_rounds,
-                run.setup_seconds,
-                plan=plan,
-            )
+            self.stats.observe_run(total, cross, 0, 0, 0.0, plan=plan)
         return result
 
     # ------------------------------------------------------------------

@@ -1,33 +1,23 @@
-"""Shared-memory CSR segments for the process backend's sessions.
+"""Shared-memory routing tables for the process backend's sessions.
 
-The process backend's workers need the network's dense-index tables — the
-node-id column of the CSR, the adjacency arrays and the shard owner map —
-to route messages.  The pool of a session-less ``execute`` receives them as
-spawn arguments (free under fork, pickled under spawn, but paid again for
-every phase of a composite pipeline).  A session instead packs them **once**
-into a single :mod:`multiprocessing.shared_memory` segment; every worker
-of every phase attaches to the same mapping, so a 14-phase pipeline ships
-the tables exactly once regardless of how often the pool is (re)spawned —
-and under spawn start methods nothing is pickled at all.
+The process backend's workers need two dense-index tables to route
+messages: the node-id column of the network's CSR and the shard owner
+map.  A session packs them **once** into a single
+:mod:`multiprocessing.shared_memory` segment; every worker of every phase
+attaches to the same mapping, so a 14-phase pipeline ships the tables
+exactly once regardless of how often the pool is (re)spawned — and under
+spawn start methods nothing is pickled at all.
 
 The wire format's flat ``array('q')`` columns (:mod:`.wire`) are exactly
 the shape a shared mapping wants, so the segment is one int64 vector::
 
-    header  q[2]   n (nodes), m (directed CSR entries)
+    header  q[1]   n (nodes)
     ids     q[n]   node id at dense index i (ascending)
-    indptr  q[n+1] CSR row pointers
-    indices q[m]   CSR column indices (dense)
     owner   q[n]   owning shard of dense index i (the ShardPlan's owner)
 
-Today's fork-started workers consume ``ids`` (unpacked into the id→index
-routing dict) and ``owner``; the adjacency columns (``indptr`` /
-``indices``) are mapped but unread, because each context ships its own
-neighbour tuple by fork inheritance.  They are packed anyway — ~8·m bytes
-once per session — because they are the payload the spawn-path and
-context-slimming follow-ups consume (deriving ``neighbors`` from the
-mapping instead of pickling it per context; see the ROADMAP's
-"context state in shared memory" item), and growing the segment later
-would force a layout version.
+Workers unpack ``ids`` into the id→index routing dict and ``owner`` into a
+list once per spawn; adjacency never travels here, because each context
+carries its own neighbour tuple.
 
 Lifetime and the unlink guarantee
 ---------------------------------
@@ -133,7 +123,7 @@ def _attach_untracked(name: str) -> "shared_memory.SharedMemory":
 
 
 class SharedCSR:
-    """One shared-memory mapping of a network's CSR plus the owner table.
+    """One shared-memory mapping of a network's node ids and owner table.
 
     Construct through :meth:`create` (the session side, which owns the
     segment) or :meth:`attach` (the worker side, which only maps it).  The
@@ -145,24 +135,17 @@ class SharedCSR:
     """
 
     def __init__(
-        self, segment: "shared_memory.SharedMemory", n: int, m: int, owns: bool
+        self, segment: "shared_memory.SharedMemory", n: int, owns: bool
     ) -> None:
         self._segment = segment
         self._owns = owns
         self._closed = False
         self.n = n
-        self.m = m
         self._views: List[memoryview] = []
         base = memoryview(segment.buf)
         self._views.append(base)
-        offset = 16  # header: q[2]
-        self.ids = self._cast(base, offset, n)
-        offset += 8 * n
-        self.indptr = self._cast(base, offset, n + 1)
-        offset += 8 * (n + 1)
-        self.indices = self._cast(base, offset, m)
-        offset += 8 * m
-        self.owner = self._cast(base, offset, n)
+        self.ids = self._cast(base, 8, n)  # after the q[1] header
+        self.owner = self._cast(base, 8 + 8 * n, n)
 
     def _cast(self, base: memoryview, offset: int, count: int) -> memoryview:
         view = base[offset : offset + 8 * count].cast("q")
@@ -172,14 +155,11 @@ class SharedCSR:
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, network: Network, plan: ShardPlan) -> "SharedCSR":
-        """Pack *network*'s CSR and *plan*'s owner table into a new segment."""
-        ids, indptr, indices = network.csr()
+        """Pack *network*'s node ids and *plan*'s owner table into a new segment."""
+        ids, _indptr, _indices = network.csr()
         n = len(ids)
-        m = len(indices)
-        columns = array("q", [n, m])
+        columns = array("q", [n])
         columns.extend(ids)
-        columns.extend(indptr)
-        columns.extend(indices)
         columns.extend(plan.owner)
         raw = columns.tobytes()
         with _TRACKER_PATCH_LOCK:
@@ -187,7 +167,7 @@ class SharedCSR:
                 create=True, size=max(1, len(raw))
             )
         segment.buf[: len(raw)] = raw
-        mapping = cls(segment, n, m, owns=True)
+        mapping = cls(segment, n, owns=True)
         _LIVE_SEGMENTS[segment.name] = mapping
         return mapping
 
@@ -195,10 +175,10 @@ class SharedCSR:
     def attach(cls, name: str) -> "SharedCSR":
         """Map an existing segment by name (worker side; never unlinks)."""
         segment = _attach_untracked(name)
-        header = memoryview(segment.buf)[:16].cast("q")
-        n, m = header[0], header[1]
+        header = memoryview(segment.buf)[:8].cast("q")
+        n = header[0]
         header.release()
-        return cls(segment, n, m, owns=False)
+        return cls(segment, n, owns=False)
 
     # ------------------------------------------------------------------
     @property
@@ -209,7 +189,7 @@ class SharedCSR:
     @property
     def nbytes(self) -> int:
         """Bytes of packed tables in the mapping (the session report figure)."""
-        return 8 * (2 + self.n + (self.n + 1) + self.m + self.n)
+        return 8 * (1 + 2 * self.n)
 
     def build_index_of(self) -> Dict[int, int]:
         """The id → dense-index table, unpacked from the ``ids`` column."""

@@ -29,15 +29,16 @@ Protocol of one phase group (all traffic over one duplex pipe per worker)::
     (worker self-arms the next queued protocol and awaits its "start";
      once the queue is empty the next "arm" starts the next group, EOF exits)
 
-Worker pools come in two lifetimes.  Every session opened on the process
-backend is a :class:`ProcessSession`: it keeps one :class:`_WorkerPool`
-alive across the phase groups of a composite pipeline and **re-arms** it
-between groups — the ``("arm", ...)`` command above carries the group's
-protocols, the model-rule knobs and the context *deltas*
-(``_reset_for_new_protocol`` plus any execute inputs), so neither processes
-nor per-node state are re-shipped for ``reuse_contexts`` groups.  A
-one-phase ``execute`` is simply a group of one.  The session's routing
-tables live in one :mod:`multiprocessing.shared_memory` CSR mapping
+Worker pools have one lifetime: a :class:`ProcessSession`'s.  The session
+keeps one :class:`_WorkerPool` alive across the phase groups of a
+composite pipeline and **re-arms** it between groups — the
+``("arm", ...)`` command above carries the group's protocols, the
+model-rule knobs and the context *deltas* (``_reset_for_new_protocol``
+plus any execute inputs), so neither processes nor per-node state are
+re-shipped for ``reuse_contexts`` groups.  A one-phase ``execute`` is
+simply a group of one, and a session-less ``ShardedEngine.execute`` is a
+session of one group, opened and closed inside the call.  The routing
+tables live in one :mod:`multiprocessing.shared_memory` mapping
 (:mod:`repro.congest.sharding.shm`) attached once per worker.  A fresh
 context build, or any ``build_contexts`` call outside the session
 (detected via :attr:`repro.congest.network.Network.context_epoch`), falls
@@ -47,9 +48,7 @@ inheritance, paid only when state actually diverged.  The epoch observes
 travel through ``per_node_inputs`` / ``global_inputs`` or a
 ``build_contexts`` call (as every caller in this package does); poking a
 live context's ``state`` dict directly between phases is invisible to any
-engine-side check and unsupported in sessions.  A session-less
-``ShardedEngine.execute`` call instead spawns a pool for its one phase and
-reaps it before returning.
+engine-side check and unsupported in sessions.
 
 A model-rule violation inside a worker (``CongestionViolation``,
 ``MessageSizeViolation``, ``ProtocolError``...) is pickled back and
@@ -66,21 +65,22 @@ watchdog** — every barrier then collects reports through
 a worker missing it raises
 :class:`repro.congest.errors.ShardWorkerTimeout` carrying a liveness
 probe of the missing workers (hung vs silently dead).  Workers are
-daemonic and the pools context-managed: closing a pool closes the pipes
+daemonic and each pool belongs to a context-managed session: closing a
+pool closes the pipes
 (unblocking any worker still waiting on a command) and joins, escalating
 to ``terminate`` only for processes that ignore the EOF within
 ``CongestConfig.worker_join_timeout`` seconds — except after a watchdog
 timeout, where still-alive workers are known-stuck and terminated
-straight away.  The teardown guarantee is *per lifetime*: a session-less
-``execute`` never leaks its workers, and a session never leaks its pool
-or its shared-memory segment past ``close`` — including violation and
-worker-crash paths, where the session tears the pool down immediately
-rather than waiting for the context exit.
+straight away.  A session never leaks its pool or its shared-memory
+segment past ``close`` — including violation and worker-crash paths,
+where the session tears the pool down immediately rather than waiting for
+the context exit — and a session-less ``execute`` closes its session
+before returning.
 
 Supervised retry and degradation
 --------------------------------
 A :class:`ProcessSession` given a ``CongestConfig.retry_policy``
-supervises its phase groups: a
+supervises its phase groups (a session-less ``execute`` included): a
 :class:`~repro.congest.errors.ShardWorkerError` (timeouts included) no
 longer aborts the group — the session tears the pool down, respawns it
 fresh and **replays the group from the parent's contexts**, which are
@@ -266,27 +266,20 @@ class _WorkerHarness:
     """One shard's round machinery inside its worker process.
 
     The harness is built once per worker lifetime from the static init
-    payload (contexts, routing tables — either inline or attached from the
-    session's shared-memory CSR segment) and re-armed per phase group with
-    the protocols and configuration; the inbox buffers and the per-channel
-    wire codecs survive re-arms, so a session phase allocates no per-node
-    structures.
+    payload (the shard's contexts, plus the name of the session's
+    shared-memory segment holding the routing tables) and re-armed per
+    phase group with the protocols and configuration; the inbox buffers and
+    the per-channel wire codecs survive re-arms, so a session phase
+    allocates no per-node structures.
     """
 
     def __init__(self, init: Dict[str, Any]) -> None:
-        n = init["n"]
-        shm_name = init.get("shm_name")
-        if shm_name is not None:
-            # Session mode: the id/owner tables live in the shared CSR
-            # mapping; attach once and unpack the hot tables locally.
-            self.shared = SharedCSR.attach(shm_name)
-            self.index_of: Dict[int, int] = self.shared.build_index_of()
-            self.owner: Sequence[int] = list(self.shared.owner)
-        else:
-            self.shared = None
-            self.index_of = init["index_of"]
-            self.owner = init["owner"]
-        ctx_list: List[Optional[NodeContext]] = [None] * n
+        # The id/owner tables live in the shared mapping; attach once and
+        # unpack the hot tables locally.
+        self.shared = SharedCSR.attach(init["shm_name"])
+        self.index_of: Dict[int, int] = self.shared.build_index_of()
+        self.owner: Sequence[int] = list(self.shared.owner)
+        ctx_list: List[Optional[NodeContext]] = [None] * self.shared.n
         for dense_index, ctx in init["contexts"].items():
             ctx_list[dense_index] = ctx
         self.ctx_list = ctx_list
@@ -622,32 +615,25 @@ def _reap(
 def _spawn_workers(
     plan: ShardPlan,
     ids: Sequence[int],
-    index_of: Dict[int, int],
     ordered_delivery: bool,
     contexts: Dict[int, NodeContext],
-    shared_csr: Optional[SharedCSR] = None,
+    shared_csr: SharedCSR,
 ) -> List[_WorkerHandle]:
     """Start one worker process per non-empty shard of *plan*.
 
-    The shard's contexts always ride as a ``Process`` argument (inherited
-    for free under fork, pickled by ``start`` under spawn).  The routing
-    tables ride inline unless *shared_csr* is given, in which case workers
-    attach to the session's shared-memory mapping by name instead — one
-    mapping serving every spawn and every phase of the session.
+    The shard's contexts ride as a ``Process`` argument (inherited for free
+    under fork, pickled by ``start`` under spawn).  The routing tables do
+    not: workers attach to the session's shared-memory mapping by name —
+    one mapping serving every spawn and every phase of the session.
     """
     context = _mp_context()
     fork_start = context.get_start_method() == "fork"
     handles: List[_WorkerHandle] = []
     init_common: Dict[str, Any] = {
-        "n": len(ids),
         "n_shards": plan.n_shards,
         "ordered_delivery": ordered_delivery,
+        "shm_name": shared_csr.name,
     }
-    if shared_csr is not None:
-        init_common["shm_name"] = shared_csr.name
-    else:
-        init_common["index_of"] = index_of
-        init_common["owner"] = plan.owner
     for shard_index, owned in enumerate(plan.shards):
         if not owned:
             continue
@@ -732,17 +718,14 @@ def _raise_buffered_error(conn, shard_index: int) -> None:
 
 
 class _WorkerPool:
-    """Owns the worker processes of one execution or one session.
+    """Owns the worker processes of one :class:`ProcessSession`.
 
-    Two lifetimes share this class.  Used as a context manager it is the
-    pool of one session-less ``execute``: every exit path of the ``with``
-    runs :meth:`close`, so no worker outlives the call that spawned it (the
-    engine registry shares one ``ShardedEngine`` singleton across all
-    callers, so pool lifetime must never attach to the engine).  A
-    :class:`ProcessSession` holds the pool directly across phase groups and
-    calls :meth:`arm` for each; the session's own close paths — context
-    exit, violations, worker deaths — call :meth:`close`, which preserves
-    the same teardown guarantee at session scope.
+    The session holds the pool across phase groups and calls :meth:`arm`
+    for each; the session's close paths — context exit, violations, worker
+    deaths — call :meth:`close`, so no worker outlives its session.  Pool
+    lifetime never attaches to the engine: the registry shares one
+    ``ShardedEngine`` singleton across all callers, and a session-less
+    ``execute`` is a session of its own, closed before the call returns.
     """
 
     def __init__(
@@ -812,12 +795,6 @@ class _WorkerPool:
         self.closed = True
         _reap(self.handles, self.join_timeout, force=force)
 
-    def __enter__(self) -> "_WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(force=isinstance(exc, ShardWorkerTimeout))
-
 
 class ProcessShardedRun:
     """One process-backed sharded execution (the ``"process"`` backend).
@@ -828,10 +805,9 @@ class ProcessShardedRun:
     shards live in worker processes and boundary buckets cross the barrier
     as packed :class:`repro.congest.sharding.wire.WireBatch` columns.
 
-    Without a *pool* the run spawns, arms and reaps its own pool for its
-    one phase.  A :class:`ProcessSession` passes its (already armed) *pool*
-    instead; the run then only drives the round loop and leaves pool
-    lifetime to the session.
+    The run drives one phase on a :class:`ProcessSession`'s already armed
+    *pool*; pool lifetime, including error teardown, belongs to the
+    session.
 
     Attributes
     ----------
@@ -840,42 +816,28 @@ class ProcessShardedRun:
         barriers (startup plus one per round); feeds
         :class:`repro.congest.sharding.engine.ShardingStats` and the
         E15 benchmark's bytes-per-round reports.
-    setup_seconds:
-        Coordinator-side time spent spawning and arming the run's own pool
-        (zero when a session supplied the pool — the session accounts its
-        own setup).
     """
 
     def __init__(
         self,
-        network: Network,
         protocol: Protocol,
         config: CongestConfig,
         contexts: Dict[int, NodeContext],
-        plan: ShardPlan,
-        pool: Optional[_WorkerPool] = None,
+        pool: _WorkerPool,
         fold_contexts: bool = True,
     ) -> None:
-        self.network = network
         self.protocol = protocol
         self.config = config
         self.contexts = contexts
-        self.plan = plan
         self.pool = pool
         #: ``False`` for every phase of a group except the last: the
         #: harvest ships outputs and traffic only; the per-node state
         #: stays worker-side for the self-armed next phase and is folded
         #: back by the group-final phase's harvest.
         self.fold_contexts = fold_contexts
-        ids, _indptr, _indices = network.csr()
-        self.ids = ids
-        self.index_of = network.node_index_of
-        self.ordered_delivery = _ShardStepper.ranges_are_ordered(plan)
         self.quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
-        self.fast_finished = type(protocol).finished is Protocol.finished
         self.boundary_bytes = 0
         self.barrier_rounds = 0
-        self.setup_seconds = 0.0
         self._traffic: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
@@ -1016,30 +978,13 @@ class ProcessShardedRun:
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        if self.pool is not None:
-            # Session-managed pool: already spawned and armed; lifetime
-            # (including error teardown) belongs to the session.
-            return self._drive(self.pool.handles)
-        started = time.perf_counter()
-        handles = _spawn_workers(
-            self.plan,
-            self.ids,
-            self.index_of,
-            self.ordered_delivery,
-            self.contexts,
-        )
-        with _WorkerPool(handles, self.config.worker_join_timeout) as pool:
-            pool.arm([self.protocol], self.config, reset=False)
-            self.setup_seconds = time.perf_counter() - started
-            return self._drive(pool.handles)
-
-    def _drive(self, handles: List[_WorkerHandle]) -> RunResult:
         # The termination decisions and the round-1 startup-metrics merge
         # are the shared helpers of sharding/engine.py — evaluated here on
         # worker-reported aggregates, in _ShardedRun on local state — so
         # the engine contract's round counts cannot drift between the
         # coordinators.
         config = self.config
+        handles = self.pool.handles
         metrics = RunMetrics()
         rounds = 0
         for handle in handles:
@@ -1132,7 +1077,7 @@ class ProcessSession(CongestSession):
       the execute input deltas cross the pipes, and the workers self-arm
       each follow-on phase of the group, keeping the context state
       worker-side until the group-final fold;
-    * the CSR/owner tables live in one shared-memory segment
+    * the id/owner routing tables live in one shared-memory segment
       (:class:`repro.congest.sharding.shm.SharedCSR`) created at first
       spawn and unlinked at close — on every close path, with atexit and
       resource-tracker guards for abnormal exits;
@@ -1480,12 +1425,7 @@ class ProcessSession(CongestSession):
                 self.shared_csr = SharedCSR.create(network, self.plan)
                 self.stats.shm_bytes = self.shared_csr.nbytes
             handles = _spawn_workers(
-                self.plan,
-                self._ids,
-                network.node_index_of,
-                self._ordered,
-                contexts,
-                shared_csr=self.shared_csr,
+                self.plan, self._ids, self._ordered, contexts, self.shared_csr
             )
             self._pool = _WorkerPool(handles, config.worker_join_timeout)
             self._pool.arm(protocols, config, reset=False)
@@ -1522,11 +1462,9 @@ class ProcessSession(CongestSession):
         last = len(protocols) - 1
         for i, protocol in enumerate(protocols):
             run = ProcessShardedRun(
-                network=network,
                 protocol=protocol,
                 config=config,
                 contexts=contexts,
-                plan=self.plan,
                 pool=self._pool,
                 fold_contexts=i == last,
             )
@@ -1582,11 +1520,10 @@ class ProcessSession(CongestSession):
         self.stats.plans.append(new_plan)
         self.repairs += 1
         self.last_repair = (touched, dirty)
-        # The mapping packs the CSR arrays, which just changed; drop it and
-        # let the next spawn rebuild.  Unlink is safe while clean workers
-        # stay attached — their mapping lives until they exit, and they
-        # only ever read the id/owner tables, which are unchanged whenever
-        # they are kept.
+        # The mapping packs the pre-delta id/owner tables; drop it and let
+        # the next spawn rebuild.  Unlink is safe while clean workers stay
+        # attached — their mapping lives until they exit, and its tables
+        # are unchanged whenever they are kept.
         if self.shared_csr is not None:
             shared, self.shared_csr = self.shared_csr, None
             shared.destroy()
@@ -1624,12 +1561,7 @@ class ProcessSession(CongestSession):
             ),
         )
         fresh = _spawn_workers(
-            masked,
-            self._ids,
-            self.network.node_index_of,
-            self._ordered,
-            contexts,
-            shared_csr=self.shared_csr,
+            masked, self._ids, self._ordered, contexts, self.shared_csr
         )
         pool.handles = sorted(
             keep + fresh, key=lambda handle: handle.shard_index

@@ -20,9 +20,8 @@ module covers one family of engine invariants:
     private context access, vectorized kernels paired with callback
     semantics.
 ``pipeline``  (PIPE0xx)
-    Declared ``PhaseEffects`` drive phase fusion and prefix caching
-    (``congest/pipeline.py``); hooks must not touch context keys their
-    declaration omits.
+    Declared ``PhaseEffects`` drive phase fusion (``congest/pipeline.py``);
+    hooks must not touch context keys their declaration omits.
 """
 
 from repro.lint.rules import (  # noqa: F401

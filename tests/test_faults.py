@@ -41,6 +41,7 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound, Message
 from repro.congest.network import Network
 from repro.congest.scheduler import run_protocol
+from repro.congest.sharding import ShardedEngine
 from repro.congest.sharding.faults import (
     FAULT_KINDS,
     FAULT_POINTS,
@@ -517,6 +518,43 @@ class TestSupervisedRetry:
         assert result.sample == frozenset(sample)
         assert [(e.phase, e.action) for e in stats.recovery_events] == [
             ("nc-sampling", "retry")
+        ]
+        _assert_no_worker_processes()
+
+    def test_session_less_run_protocol_honours_retry_policy(self):
+        # A plain run_protocol on the process backend runs as a one-group
+        # session, so the retry policy applies without an explicit session:
+        # a worker crash at start is replayed on a fresh pool and the
+        # answer matches the reference engine bit for bit.
+        n = 24
+        graph = _connected_gnp(n, 0.2, seed=4)
+
+        def run(config, engine=None):
+            result = run_protocol(
+                Network(graph, seed=2),
+                MinIdBFSTreeProtocol(),
+                config=config,
+                per_node_inputs=_bfs_inputs(graph),
+                engine=engine,
+            )
+            metrics = result.metrics
+            return (
+                result.outputs,
+                metrics.rounds,
+                metrics.total_messages,
+                metrics.total_bits,
+                metrics.max_message_bits,
+            )
+
+        oracle = run(CongestConfig(engine="reference").with_log_budget(n))
+        plan = FaultPlan(
+            specs=(FaultSpec(point="start", kind="crash", shard=1, attempt=0),)
+        )
+        engine = ShardedEngine(collect_stats=True)
+        config = _faulty_config(n, plan, retry=RetryPolicy(max_attempts=2))
+        assert run(config, engine) == oracle
+        assert [(e.phase, e.action) for e in engine.stats.recovery_events] == [
+            ("min-id-bfs-tree", "retry")
         ]
         _assert_no_worker_processes()
 

@@ -50,6 +50,7 @@ from repro.congest.sharding import (
     repair_plan,
     shard_fingerprints,
 )
+from repro.congest.sharding import shm as shm_module
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
 
@@ -249,27 +250,36 @@ class TestShardedEngineKnobs:
             results["batched"]
         )
 
-    def test_engine_instance_overrides_config(self):
-        engine = ShardedEngine(shards=2, strategy="bfs", partition_seed=7)
+    def test_engine_instance_reads_structure_from_config(self):
+        # Shard count and strategy come from the config; the instance only
+        # contributes the partition seed.
+        engine = ShardedEngine(partition_seed=7, collect_stats=True)
         network = Network(nx.cycle_graph(10), seed=1)
         result = run_protocol(
             network,
             _PingAll(),
-            config=CongestConfig(shards=64),  # overridden by the instance
+            config=CongestConfig().with_sharding(shards=2, strategy="bfs"),
             engine=engine,
         )
         assert result.outputs == {v: 2 for v in range(10)}
+        (plan,) = engine.stats.plans
+        assert (plan.n_shards, plan.strategy, plan.seed) == (2, "bfs", 7)
 
     def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            ShardedEngine(shards=0)
+        with pytest.raises(ValueError, match="at least one shard"):
+            CongestConfig().with_sharding(shards=0)
 
     def test_stats_collection_counts_cross_shard_traffic(self):
         # On a cycle cut into two contiguous arcs, exactly the messages on
         # the two cut edges (both directions) cross shards.
-        engine = ShardedEngine(shards=2, collect_stats=True)
+        engine = ShardedEngine(collect_stats=True)
         network = Network(nx.cycle_graph(10), seed=1)
-        result = run_protocol(network, _PingAll(), config=CongestConfig(), engine=engine)
+        result = run_protocol(
+            network,
+            _PingAll(),
+            config=CongestConfig().with_sharding(shards=2),
+            engine=engine,
+        )
         stats = engine.stats
         assert stats is not None
         assert stats.runs == 1
@@ -315,8 +325,10 @@ class TestShardedEngineKnobs:
         assert result.metrics.rounds == 0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard backend"):
-            ShardedEngine(backend="gpu")
+        with pytest.raises(ValueError, match="available backends: serial"):
+            ShardedEngine.resolve_structure(
+                CongestConfig().with_sharding(backend="gpu")
+            )
         network = Network(nx.path_graph(4), seed=0)
         with pytest.raises(ValueError, match="unknown shard backend"):
             run_protocol(
@@ -327,10 +339,12 @@ class TestShardedEngineKnobs:
 
     def test_serial_backend_forces_serial_despite_workers(self):
         # backend="serial" must never build a pool even with workers >= 2.
-        engine = ShardedEngine(shards=3, workers=4, backend="serial")
+        config = CongestConfig().with_sharding(
+            shards=3, workers=4, backend="serial"
+        )
         network = Network(nx.cycle_graph(12), seed=1)
         before = {t.name for t in threading.enumerate()}
-        result = run_protocol(network, _PingAll(), engine=engine)
+        result = run_protocol(network, _PingAll(), config=config)
         after = {t.name for t in threading.enumerate()} - before
         assert not any(name.startswith("repro-shard") for name in after)
         assert result.outputs == {v: 2 for v in range(12)}
@@ -478,19 +492,39 @@ class TestProcessBackendInfrastructure:
             run_protocol(network, LocalProtocol(), config=self._config(shards=3))
         _assert_no_worker_processes()
 
-    def test_no_leaked_processes_after_success_and_violations(self):
-        # The registry engine is a shared singleton; pools must be created
-        # per execute and torn down on *every* exit path.
+    def test_no_leaked_processes_after_success_and_violations(self, monkeypatch):
+        # The registry engine is a shared singleton; a session-less run is
+        # a one-group session whose workers and shared-memory segment must
+        # be torn down on *every* exit path.
+        created = []
+        create = SharedCSR.create
+
+        def recording_create(network, plan):
+            mapping = create(network, plan)
+            created.append(mapping.name)
+            return mapping
+
+        monkeypatch.setattr(SharedCSR, "create", staticmethod(recording_create))
+
+        def assert_nothing_left():
+            _assert_no_worker_processes()
+            assert created, "the run mapped no shared-memory segment"
+            for name in created:
+                assert name not in shm_module._LIVE_SEGMENTS
+                with pytest.raises(FileNotFoundError):
+                    SharedCSR.attach(name)
+            del created[:]
+
         network = Network(nx.cycle_graph(12), seed=0)
         run_protocol(network, _PingAll(), config=self._config())
-        _assert_no_worker_processes()
+        assert_nothing_left()
         with pytest.raises(CongestionViolation):
             run_protocol(
                 Network(nx.cycle_graph(12), seed=0),
                 _DoubleSend(),
                 config=self._config(),
             )
-        _assert_no_worker_processes()
+        assert_nothing_left()
         with pytest.raises(MessageSizeViolation):
             run_protocol(
                 Network(nx.cycle_graph(12), seed=0),
@@ -499,7 +533,7 @@ class TestProcessBackendInfrastructure:
                     self._config(), message_bit_budget=8
                 ),
             )
-        _assert_no_worker_processes()
+        assert_nothing_left()
 
     def test_round_limit_exceeded_crosses_cleanly(self):
         network = Network(nx.cycle_graph(10), seed=0)
@@ -527,9 +561,14 @@ class TestProcessBackendInfrastructure:
     def test_stats_report_boundary_bytes_for_process_only(self):
         results = {}
         for backend in ("serial", "process"):
-            engine = ShardedEngine(shards=2, backend=backend, collect_stats=True)
+            engine = ShardedEngine(collect_stats=True)
             network = Network(nx.cycle_graph(10), seed=1)
-            result = run_protocol(network, _PingAll(), engine=engine)
+            result = run_protocol(
+                network,
+                _PingAll(),
+                config=CongestConfig().with_sharding(shards=2, backend=backend),
+                engine=engine,
+            )
             stats = engine.stats
             results[backend] = (result, stats)
             # Cross-shard accounting is backend-independent: 2 cut edges of
